@@ -2,7 +2,6 @@
 variable models, including tuning-free coin-betting variants."""
 
 from .algorithms import (
-    AdaptiveBettingState,
     BettingState,
     RunConfig,
     SvgdEmState,
@@ -28,7 +27,6 @@ from .models import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveBettingState",
     "BayesianLogisticRegression",
     "BettingState",
     "ConfigError",

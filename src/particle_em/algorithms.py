@@ -1,18 +1,16 @@
 """Iterative optimizers over (parameter, particle cloud) pairs.
 
-Five particle-based schemes for maximizing the marginal likelihood of a
-latent-variable model, all driving the particles toward the posterior while
-the parameter climbs the averaged parameter gradient:
+Six particle-based schemes for maximizing the marginal likelihood of a
+latent-variable model, each a rule for theta paired with a rule for the
+particles (all but ``pgd`` move them along the cloud's kernelized direction):
 
-* ``svgd_em``          -- learning-rate gradient step on theta, kernelized
-                          transport step on the particles.
-* ``coin_em``          -- learning-rate-free variant; both theta and each
-                          particle follow a Krichevsky-Trofimov betting
-                          recursion on their gradient streams.
-* ``adaptive_coin_em`` -- coin betting with per-coordinate gradient-scale
-                          normalization (works for unbounded gradients).
-* ``marginal_*``       -- variants that replace the theta recursion with the
-                          model's exact closed-form M-step.
+* ``svgd_em``          -- gradient steps (learning rate gamma) for both.
+* ``coin_em``          -- learning-rate-free; Krichevsky-Trofimov betting
+                          recursions on both gradient streams.
+* ``adaptive_coin_em`` -- betting with per-coordinate gradient-scale
+                          normalization for both (unbounded gradients).
+* ``marginal_*``       -- the model's exact closed-form M-step for theta;
+                          a gradient step or KT betting for the particles.
 * ``pgd``              -- Euler-Maruyama discretization of coupled parameter
                           drift and latent Langevin dynamics (the
                           learning-rate-dependent baseline).
@@ -25,17 +23,13 @@ in an updated state aborts with :class:`DivergedError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, resolve_bandwidth, stein_direction
 from .models.base import Model
-
-GAMMA_ALGORITHMS = frozenset({"svgd_em", "marginal_svgd_em", "pgd"})
-COIN_ALGORITHMS = frozenset({"coin_em", "adaptive_coin_em", "marginal_coin_em"})
-ALL_ALGORITHMS = GAMMA_ALGORITHMS | COIN_ALGORITHMS
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +49,12 @@ class SvgdEmState:
 class BettingState:
     """Betting-recursion state: anchors, current iterate, and streamed sums.
 
-    ``sum_grad_theta`` and ``reward_theta`` accumulate the parameter-gradient
-    stream and its inner products with (theta_s - theta0); ``sum_grad_z`` and
-    ``reward_z`` do the same per particle for the kernelized directions.
-    ``t`` counts completed steps, so all accumulators are zero at t = 0.
+    ``sum_grad_*`` accumulate the parameter-gradient stream and, per particle,
+    the kernelized directions. The KT rule sums their inner products with
+    (x_s - x0) in ``reward_*``; the scale-normalized rule instead tracks per
+    coordinate the largest gradient magnitude L, the sum of absolute gradients
+    G and the clipped reward R (L, G non-decreasing, R >= 0). Each rule leaves
+    the other's fields at zero; ``t`` counts completed steps.
     """
 
     theta0: np.ndarray
@@ -69,6 +65,12 @@ class BettingState:
     reward_theta: float
     sum_grad_z: np.ndarray  # (N, d_z)
     reward_z: np.ndarray  # (N,)
+    L_theta: np.ndarray  # (d_theta,)
+    G_theta: np.ndarray
+    R_theta: np.ndarray
+    L_z: np.ndarray  # (N, d_z)
+    G_z: np.ndarray
+    R_z: np.ndarray
     t: int = 0
 
     @classmethod
@@ -84,44 +86,6 @@ class BettingState:
             reward_theta=0.0,
             sum_grad_z=np.zeros_like(z0),
             reward_z=np.zeros(z0.shape[0]),
-            t=0,
-        )
-
-
-@dataclass
-class AdaptiveBettingState:
-    """Per-coordinate betting state with running gradient-scale estimates.
-
-    For every coordinate (of theta, and of each particle) the state tracks the
-    largest observed gradient magnitude L, the sum of absolute gradients G,
-    and the clipped reward R; L and G are non-decreasing and R stays >= 0.
-    """
-
-    theta0: np.ndarray
-    z0: np.ndarray
-    theta: np.ndarray
-    particles: np.ndarray
-    sum_grad_theta: np.ndarray  # (d_theta,)
-    sum_grad_z: np.ndarray  # (N, d_z)
-    L_theta: np.ndarray  # (d_theta,)
-    G_theta: np.ndarray
-    R_theta: np.ndarray
-    L_z: np.ndarray  # (N, d_z)
-    G_z: np.ndarray
-    R_z: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def initial(cls, theta0, z0) -> "AdaptiveBettingState":
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        z0 = np.asarray(z0, dtype=np.float64)
-        return cls(
-            theta0=theta0.copy(),
-            z0=z0.copy(),
-            theta=theta0.copy(),
-            particles=z0.copy(),
-            sum_grad_theta=np.zeros_like(theta0),
-            sum_grad_z=np.zeros_like(z0),
             L_theta=np.zeros_like(theta0),
             G_theta=np.zeros_like(theta0),
             R_theta=np.zeros_like(theta0),
@@ -132,84 +96,33 @@ class AdaptiveBettingState:
         )
 
 
-def _require_finite(what: str, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise DivergedError(f"non-finite values in {what}")
-
-
-def _step_bandwidth(particles: np.ndarray, h: float | None) -> float:
-    # squared distances of an exploding cloud can overflow the heuristic
-    bandwidth = median_heuristic(particles) if h is None else resolve_bandwidth(particles, h)
-    if not np.isfinite(bandwidth):
-        raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return bandwidth
-
-
 # ---------------------------------------------------------------------------
 # single-step updates
 
 
-def svgd_em_step(state: SvgdEmState, model: Model, h: float | None = None) -> SvgdEmState:
-    """One gradient step on theta, then one kernelized transport step.
+def _require_finite(what: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DivergedError(f"non-finite values in {what}")
 
-    The particle update evaluates latent gradients at the already-updated
-    theta. ``h`` fixes the kernel bandwidth; None recomputes the median
-    heuristic from the current cloud.
+
+def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) -> np.ndarray:
+    """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic)."""
+    bandwidth = resolve_bandwidth(z, h)
+    # squared distances of an exploding cloud can overflow the heuristic
+    if not np.isfinite(bandwidth):
+        raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
+    return stein_direction(z, model.grad_z(theta, z), bandwidth)
+
+
+def _kt(x0, x, c, csum, reward, t):
+    """Krichevsky-Trofimov bet on the last axis after the t-th gradient c.
+
+    Returns (x_new, csum, reward); reward sums <c_s, x_s - x0> and is a scalar
+    for a vector x, one entry per row for a cloud x.
     """
-    theta, z, gamma = state.theta, state.particles, state.gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_new = theta + gamma * model.mean_grad_theta(theta, z)
-        _require_finite("theta update", theta_new)
-        bandwidth = _step_bandwidth(z, h)
-        phi = stein_direction(z, model.grad_z(theta_new, z), bandwidth)
-        z_new = z + gamma * phi
-    _require_finite("particle update", z_new)
-    return SvgdEmState(theta=theta_new, particles=z_new, gamma=gamma)
-
-
-def coin_em_step(
-    state: BettingState,
-    model: Model,
-    h: float | None = None,
-    particle_grads_use_new_theta: bool = True,
-) -> BettingState:
-    """One round of the two interacting betting games (no learning rate).
-
-    After k completed steps the iterate is
-    ``x = x0 + sum(c_1..c_k) / (k + 1) * (1 + sum_s <c_s, x_s - x0>)``,
-    applied to theta with the averaged parameter gradient and to each particle
-    with its kernelized direction. By default particle gradients are taken at
-    the just-updated theta; set ``particle_grads_use_new_theta=False`` for the
-    pre-update theta.
-    """
-    theta, z = state.theta, state.particles
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_bar = model.mean_grad_theta(theta, z)
-        sum_g = state.sum_grad_theta + g_bar
-        reward = state.reward_theta + float(g_bar @ (theta - state.theta0))
-        t_new = state.t + 1
-        theta_new = state.theta0 + sum_g / (t_new + 1) * (1.0 + reward)
-        _require_finite("theta update", theta_new)
-
-        grad_theta_arg = theta_new if particle_grads_use_new_theta else theta
-        bandwidth = _step_bandwidth(z, h)
-        phi = stein_direction(z, model.grad_z(grad_theta_arg, z), bandwidth)
-        sum_z = state.sum_grad_z + phi
-        reward_z = state.reward_z + np.einsum("ij,ij->i", phi, z - state.z0)
-        z_new = state.z0 + sum_z / (t_new + 1) * (1.0 + reward_z)[:, None]
-    _require_finite("particle update", z_new)
-    return BettingState(
-        theta0=state.theta0,
-        z0=state.z0,
-        theta=theta_new,
-        particles=z_new,
-        sum_grad_theta=sum_g,
-        reward_theta=reward,
-        sum_grad_z=sum_z,
-        reward_z=reward_z,
-        t=t_new,
-    )
+    csum = csum + c
+    reward = reward + np.einsum("...i,...i->...", c, x - x0)
+    return x0 + csum / (t + 1) * (1.0 + reward)[..., None], csum, reward
 
 
 def _adaptive_update(x0, x, csum_prev, c, L_prev, G_prev, R_prev, denominator):
@@ -231,13 +144,64 @@ def _adaptive_update(x0, x, csum_prev, c, L_prev, G_prev, R_prev, denominator):
     return np.where(L > 0.0, candidate, x0), csum, L, G, R
 
 
+def svgd_em_step(state: SvgdEmState, model: Model, h: float | None = None) -> SvgdEmState:
+    """One gradient step on theta, then one kernelized transport step.
+
+    The particle update evaluates latent gradients at the already-updated
+    theta. ``h`` fixes the kernel bandwidth; None recomputes the median
+    heuristic from the current cloud.
+    """
+    theta, z, gamma = state.theta, state.particles, state.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_new = theta + gamma * model.mean_grad_theta(theta, z)
+        _require_finite("theta update", theta_new)
+        z_new = z + gamma * _direction(model, theta_new, z, h)
+    _require_finite("particle update", z_new)
+    return SvgdEmState(theta=theta_new, particles=z_new, gamma=gamma)
+
+
+def coin_em_step(
+    state: BettingState,
+    model: Model,
+    h: float | None = None,
+    particle_grads_use_new_theta: bool = True,
+) -> BettingState:
+    """One round of the two interacting betting games (no learning rate).
+
+    After k completed steps the iterate is
+    ``x = x0 + sum(c_1..c_k) / (k + 1) * (1 + sum_s <c_s, x_s - x0>)``,
+    applied to theta with the averaged parameter gradient and to each particle
+    with its kernelized direction. By default particle gradients are taken at
+    the just-updated theta; set ``particle_grads_use_new_theta=False`` for the
+    pre-update theta.
+    """
+    theta, z, t = state.theta, state.particles, state.t + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_bar = model.mean_grad_theta(theta, z)
+        theta_new, sum_g, reward = _kt(state.theta0, theta, g_bar, state.sum_grad_theta, state.reward_theta, t)
+        _require_finite("theta update", theta_new)
+        phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
+        z_new, sum_z, reward_z = _kt(state.z0, z, phi, state.sum_grad_z, state.reward_z, t)
+    _require_finite("particle update", z_new)
+    return replace(
+        state,
+        theta=theta_new,
+        particles=z_new,
+        sum_grad_theta=sum_g,
+        reward_theta=reward,
+        sum_grad_z=sum_z,
+        reward_z=reward_z,
+        t=t,
+    )
+
+
 def adaptive_coin_em_step(
-    state: AdaptiveBettingState,
+    state: BettingState,
     model: Model,
     h: float | None = None,
     denominator: str = "standard",
     particle_grads_use_new_theta: bool = True,
-) -> AdaptiveBettingState:
+) -> BettingState:
     """Coin betting with per-coordinate scale normalization.
 
     Each coordinate bets ``x0 + csum / D * (1 + R / L)`` where D = G + L for
@@ -247,28 +211,27 @@ def adaptive_coin_em_step(
         raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
     theta, z = state.theta, state.particles
     with np.errstate(over="ignore", invalid="ignore"):
-        c_theta = model.mean_grad_theta(theta, z)
         theta_new, sum_g, L_t, G_t, R_t = _adaptive_update(
-            state.theta0, theta, state.sum_grad_theta, c_theta,
+            state.theta0, theta, state.sum_grad_theta, model.mean_grad_theta(theta, z),
             state.L_theta, state.G_theta, state.R_theta, denominator,
         )
         _require_finite("theta update", theta_new)
-
-        grad_theta_arg = theta_new if particle_grads_use_new_theta else theta
-        bandwidth = _step_bandwidth(z, h)
-        phi = stein_direction(z, model.grad_z(grad_theta_arg, z), bandwidth)
+        phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
         z_new, sum_z, L_z, G_z, R_z = _adaptive_update(
             state.z0, z, state.sum_grad_z, phi,
             state.L_z, state.G_z, state.R_z, denominator,
         )
     _require_finite("particle update", z_new)
-    return AdaptiveBettingState(
+    # the constructor, not dataclasses.replace: this is the default optimizer's per-step path
+    return BettingState(
         theta0=state.theta0,
         z0=state.z0,
         theta=theta_new,
         particles=z_new,
         sum_grad_theta=sum_g,
+        reward_theta=state.reward_theta,
         sum_grad_z=sum_z,
+        reward_z=state.reward_z,
         L_theta=L_t,
         G_theta=G_t,
         R_theta=R_t,
@@ -289,9 +252,7 @@ def marginal_svgd_em_step(state: SvgdEmState, model: Model, h: float | None = No
     z, gamma = state.particles, state.gamma
     theta_used = model.marginal_mstep(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        bandwidth = _step_bandwidth(z, h)
-        phi = stein_direction(z, model.grad_z(theta_used, z), bandwidth)
-        z_new = z + gamma * phi
+        z_new = z + gamma * _direction(model, theta_used, z, h)
     _require_finite("particle update", z_new)
     return SvgdEmState(theta=model.marginal_mstep(z_new), particles=z_new, gamma=gamma)
 
@@ -303,15 +264,11 @@ def marginal_coin_em_step(state: BettingState, model: Model, h: float | None = N
     computed at that round's M-step parameter; the theta-side accumulators of
     the state stay zero.
     """
-    z = state.particles
+    z, t = state.particles, state.t + 1
     theta_used = model.marginal_mstep(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        bandwidth = _step_bandwidth(z, h)
-        phi = stein_direction(z, model.grad_z(theta_used, z), bandwidth)
-        t_new = state.t + 1
-        sum_z = state.sum_grad_z + phi
-        reward_z = state.reward_z + np.einsum("ij,ij->i", phi, z - state.z0)
-        z_new = state.z0 + sum_z / (t_new + 1) * (1.0 + reward_z)[:, None]
+        phi = _direction(model, theta_used, z, h)
+        z_new, sum_z, reward_z = _kt(state.z0, z, phi, state.sum_grad_z, state.reward_z, t)
     _require_finite("particle update", z_new)
     return replace(
         state,
@@ -319,7 +276,7 @@ def marginal_coin_em_step(state: BettingState, model: Model, h: float | None = N
         particles=z_new,
         sum_grad_z=sum_z,
         reward_z=reward_z,
-        t=t_new,
+        t=t,
     )
 
 
@@ -337,6 +294,26 @@ def pgd_step(state: SvgdEmState, model: Model, rng: np.random.Generator) -> Svgd
         z_new = z + gamma * model.grad_z(theta, z) + np.sqrt(2.0 * gamma) * noise
     _require_finite("particle update", z_new)
     return SvgdEmState(theta=theta_new, particles=z_new, gamma=gamma)
+
+
+class _Algorithm(NamedTuple):
+    needs_gamma: bool  # the learning-rate algorithms, which carry an SvgdEmState
+    uses_mstep: bool
+    step: Callable  # (state, model, bandwidth, rng, RunConfig) -> next state
+
+
+#: every algorithm by name; a step looks up ``<name>_step`` when called, so run() sees a wrapped one
+ALGORITHMS = {
+    "svgd_em": _Algorithm(True, False, lambda s, m, h, rng, c: svgd_em_step(s, m, h)),
+    "coin_em": _Algorithm(False, False, lambda s, m, h, rng, c: coin_em_step(s, m, h, c.particle_grads_use_new_theta)),
+    "adaptive_coin_em": _Algorithm(
+        False, False,
+        lambda s, m, h, rng, c: adaptive_coin_em_step(s, m, h, c.adaptive_denominator, c.particle_grads_use_new_theta),
+    ),
+    "marginal_svgd_em": _Algorithm(True, True, lambda s, m, h, rng, c: marginal_svgd_em_step(s, m, h)),
+    "marginal_coin_em": _Algorithm(False, True, lambda s, m, h, rng, c: marginal_coin_em_step(s, m, h)),
+    "pgd": _Algorithm(True, False, lambda s, m, h, rng, c: pgd_step(s, m, rng)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +361,9 @@ class RunConfig:
     ``f(theta, particles) -> float`` evaluated at every recorded iteration.
     ``bandwidth`` fixes the kernel bandwidth; ``freeze_bandwidth`` computes it
     once from the initial cloud instead of at every iteration.
+    ``adaptive_denominator`` is read only by ``adaptive_coin_em``, and
+    ``particle_grads_use_new_theta`` only by ``coin_em`` and
+    ``adaptive_coin_em``; the other algorithms ignore both.
     """
 
     n_particles: int = 10
@@ -399,23 +379,21 @@ class RunConfig:
     particle_grads_use_new_theta: bool = True
 
 
-def _validate_run(algorithm: str, config: RunConfig) -> list[str]:
+def validate_run(algorithm: str, config: RunConfig) -> list[str]:
+    """Return every problem with running ``algorithm`` under ``config``."""
     problems = []
-    if algorithm not in ALL_ALGORITHMS:
-        problems.append(f"unknown algorithm {algorithm!r}; choose from {sorted(ALL_ALGORITHMS)}")
-    if config.n_particles < 1:
-        problems.append(f"n_particles must be >= 1, got {config.n_particles}")
-    if config.n_iters < 0:
-        problems.append(f"n_iters must be >= 0, got {config.n_iters}")
-    if config.record_every < 1:
-        problems.append(f"record_every must be >= 1, got {config.record_every}")
-    if algorithm in GAMMA_ALGORITHMS:
+    if algorithm not in ALGORITHMS:
+        problems.append(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
+    elif ALGORITHMS[algorithm].needs_gamma:
         if config.gamma is None:
             problems.append(f"gamma is required for algorithm {algorithm!r}")
         elif not np.isfinite(config.gamma) or config.gamma <= 0:
             problems.append(f"gamma must be a finite positive number, got {config.gamma}")
-    elif algorithm in COIN_ALGORITHMS and config.gamma is not None:
+    elif config.gamma is not None:
         problems.append(f"gamma is forbidden for coin algorithm {algorithm!r}")
+    for name, low in (("n_particles", 1), ("n_iters", 0), ("record_every", 1)):
+        if getattr(config, name) < low:
+            problems.append(f"{name} must be >= {low}, got {getattr(config, name)}")
     if config.adaptive_denominator not in ("standard", "bnn"):
         problems.append(f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}")
     if config.bandwidth is not None and not (np.isfinite(config.bandwidth) and config.bandwidth > 0):
@@ -431,7 +409,10 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     model, config, seed) produce bit-identical traces. On divergence a
     :class:`DivergedError` is raised with the partial trace attached.
     """
-    problems = _validate_run(algorithm, config)
+    problems = validate_run(algorithm, config)
+    spec = ALGORITHMS.get(algorithm)
+    if spec is not None and spec.uses_mstep and type(model).marginal_mstep is Model.marginal_mstep:
+        problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
     if problems:
         raise ConfigError(problems)
 
@@ -452,31 +433,12 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     if config.freeze_bandwidth and h is None:
         h = median_heuristic(z0)
 
-    if algorithm in ("marginal_svgd_em", "marginal_coin_em"):
+    if spec.uses_mstep:
         theta0 = np.asarray(model.marginal_mstep(z0), dtype=np.float64).ravel()
-
-    if algorithm in ("svgd_em", "marginal_svgd_em", "pgd"):
+    if spec.needs_gamma:
         state = SvgdEmState(theta=theta0, particles=z0, gamma=float(config.gamma))
-    elif algorithm == "adaptive_coin_em":
-        state = AdaptiveBettingState.initial(theta0, z0)
     else:
         state = BettingState.initial(theta0, z0)
-
-    steppers = {
-        "svgd_em": lambda s: svgd_em_step(s, model, h),
-        "coin_em": lambda s: coin_em_step(
-            s, model, h, particle_grads_use_new_theta=config.particle_grads_use_new_theta
-        ),
-        "adaptive_coin_em": lambda s: adaptive_coin_em_step(
-            s, model, h,
-            denominator=config.adaptive_denominator,
-            particle_grads_use_new_theta=config.particle_grads_use_new_theta,
-        ),
-        "marginal_svgd_em": lambda s: marginal_svgd_em_step(s, model, h),
-        "marginal_coin_em": lambda s: marginal_coin_em_step(s, model, h),
-        "pgd": lambda s: pgd_step(s, model, rng),
-    }
-    step = steppers[algorithm]
 
     trace = Trace(initial_particles=z0.copy())
 
@@ -496,7 +458,7 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     record(0, state.theta, state.particles)
     for t in range(1, config.n_iters + 1):
         try:
-            state = step(state)
+            state = spec.step(state, model, h, rng, config)
         except DivergedError as err:
             trace.final_particles = state.particles.copy()
             raise DivergedError(str(err), iteration=t, trace=trace) from None

@@ -9,16 +9,16 @@ violation at once.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
+from .algorithms import RunConfig, validate_run
 from .exceptions import ConfigError
 
 logger = logging.getLogger(__name__)
 
 MODELS = ("toy", "logreg", "network")
-ALGORITHMS = ("svgd_em", "coin_em", "adaptive_coin_em", "marginal_svgd_em", "marginal_coin_em", "pgd")
-GAMMA_ALGORITHMS = ("svgd_em", "marginal_svgd_em", "pgd")
 SWEEP_PARAMS = ("gamma", "particles")
 
 #: keys whose absence triggers a logged notice about the default being used
@@ -154,43 +154,31 @@ def validate(config: ExperimentConfig) -> list[str]:
     problems: list[str] = []
     if config.model not in MODELS:
         problems.append(f"model must be one of {MODELS}, got {config.model!r}")
-    if config.algorithm not in ALGORITHMS:
-        problems.append(f"algorithm must be one of {ALGORITHMS}, got {config.algorithm!r}")
-    else:
-        needs_gamma = config.algorithm in GAMMA_ALGORITHMS
-        sweeps_gamma = config.sweep_param == "gamma"
-        if needs_gamma and config.gamma is None and not sweeps_gamma:
-            problems.append(f"gamma is required for algorithm {config.algorithm!r}")
-        if not needs_gamma and (config.gamma is not None or sweeps_gamma):
-            problems.append(f"gamma forbidden for coin algorithm {config.algorithm!r}")
-    if config.gamma is not None and config.gamma <= 0:
-        problems.append(f"gamma must be positive, got {config.gamma}")
-    if config.particles < 1:
-        problems.append(f"particles must be >= 1, got {config.particles}")
-    if config.iters < 0:
-        problems.append(f"iters must be >= 0, got {config.iters}")
-    if config.record_every < 1:
-        problems.append(f"record_every must be >= 1, got {config.record_every}")
+    run_config = RunConfig(
+        n_particles=config.particles,
+        n_iters=config.iters,
+        # a gamma sweep runs every grid value as gamma; the first stands in for all here
+        gamma=config.sweep_values[0] if config.sweep_param == "gamma" and config.sweep_values else config.gamma,
+        record_every=config.record_every,
+        bandwidth=config.bandwidth,
+        adaptive_denominator=config.adaptive_denominator,
+    )
+    problems.extend(validate_run(config.algorithm, run_config))
     if config.run_index < 0:
         problems.append(f"run_index must be >= 0, got {config.run_index}")
     if not 0.0 < config.test_fraction < 1.0:
         problems.append(f"test_fraction must be in (0, 1), got {config.test_fraction}")
-    if config.bandwidth is not None and config.bandwidth <= 0:
-        problems.append(f"bandwidth must be positive, got {config.bandwidth}")
-    if config.adaptive_denominator not in ("standard", "bnn"):
-        problems.append(
-            f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}"
-        )
     if config.link_sign not in ("minus", "plus"):
         problems.append(f"link_sign must be 'minus' or 'plus', got {config.link_sign!r}")
     if config.sweep_param is not None:
         if config.sweep_param not in SWEEP_PARAMS:
             problems.append(f"sweep_param must be one of {SWEEP_PARAMS}, got {config.sweep_param!r}")
+        bad = [v for v in config.sweep_values if not (math.isfinite(v) and v > 0)]
         if not config.sweep_values:
             problems.append("sweep_values must be a non-empty list when sweep_param is set")
-        elif any(v <= 0 for v in config.sweep_values):
-            problems.append("sweep_values must all be positive")
-        if config.sweep_param == "particles" and any(v != int(v) for v in config.sweep_values):
+        elif bad:
+            problems.append(f"sweep_values must all be finite and positive, got {bad}")
+        elif config.sweep_param == "particles" and any(v != int(v) for v in config.sweep_values):
             problems.append("sweep over particles requires integer values")
     if config.model == "toy" and config.toy_dim < 1:
         problems.append(f"toy_dim must be >= 1, got {config.toy_dim}")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from particle_em.algorithms import (
-    AdaptiveBettingState,
     BettingState,
     RunConfig,
     SvgdEmState,
@@ -130,14 +129,14 @@ class TestCoinEmStep:
 
 class TestAdaptiveCoinEmStep:
     def test_hand_sequence_first_two_iterates(self):
-        s = AdaptiveBettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        s = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
         s = adaptive_coin_em_step(s, ConstantGradientModel(1.0))
         first = s.theta[0]
         s = adaptive_coin_em_step(s, ConstantGradientModel(1.0))
         assert (first, s.theta[0]) == (0.5, 1.0)
 
     def test_zero_gradients_fixed_forever(self):
-        s = AdaptiveBettingState.initial(np.array([0.3]), np.full((3, 2), -0.1))
+        s = BettingState.initial(np.array([0.3]), np.full((3, 2), -0.1))
         for _ in range(4):
             s = adaptive_coin_em_step(s, ZeroGradientModel(d_z=2))
         assert s.theta[0] == 0.3
@@ -146,13 +145,13 @@ class TestAdaptiveCoinEmStep:
 
     @pytest.mark.parametrize("scale", [0.1, 10.0])
     def test_first_iterate_scale_invariance(self, scale):
-        base = AdaptiveBettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        base = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
         plain = adaptive_coin_em_step(base, ConstantGradientModel(0.7))
         scaled = adaptive_coin_em_step(base, ConstantGradientModel(0.7 * scale))
         assert plain.theta[0] == pytest.approx(scaled.theta[0], rel=1e-14)
 
     def test_bnn_denominator_shrinks_first_step(self):
-        base = AdaptiveBettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        base = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
         standard = adaptive_coin_em_step(base, ConstantGradientModel(1.0), denominator="standard")
         bnn = adaptive_coin_em_step(base, ConstantGradientModel(1.0), denominator="bnn")
         # first step: D = max(G + L, 100 L) = 100 L, so theta = 1/100
@@ -162,7 +161,7 @@ class TestAdaptiveCoinEmStep:
     def test_scale_monotonicity_and_reward_sign(self):
         m = toy_model(d_z=3)
         rng = np.random.default_rng(2)
-        s = AdaptiveBettingState.initial(rng.normal(size=1), rng.normal(size=(4, 3)))
+        s = BettingState.initial(rng.normal(size=1), rng.normal(size=(4, 3)))
         prev = s
         for _ in range(20):
             cur = adaptive_coin_em_step(prev, m)
@@ -307,6 +306,32 @@ class TestRunLoop:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="unknown algorithm"):
             run("sgd", toy_model(), RunConfig())
+
+    @pytest.mark.parametrize("algorithm", ["marginal_svgd_em", "marginal_coin_em"])
+    def test_marginal_algorithm_needs_model_mstep(self, algorithm):
+        m = BayesianLogisticRegression(np.zeros((2, 2)), np.array([0, 1]))
+        gamma = 0.1 if algorithm == "marginal_svgd_em" else None
+        with pytest.raises(ConfigError, match="closed-form M-step"):
+            run(algorithm, m, RunConfig(n_particles=2, n_iters=1, gamma=gamma))
+
+    @pytest.mark.parametrize(
+        "algorithm", ["svgd_em", "coin_em", "adaptive_coin_em", "marginal_svgd_em", "marginal_coin_em", "pgd"]
+    )
+    def test_run_calls_step_through_module_attribute(self, algorithm, monkeypatch):
+        # tracing wrappers replace particle_em.algorithms.<name>_step and must see every step
+        import particle_em.algorithms as algorithms
+
+        original = getattr(algorithms, f"{algorithm}_step")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, f"{algorithm}_step", counting)
+        gamma = 0.01 if algorithm in ("svgd_em", "marginal_svgd_em", "pgd") else None
+        run(algorithm, toy_model(), RunConfig(n_particles=3, n_iters=4, gamma=gamma, seed=0))
+        assert len(calls) == 4
 
     def test_divergence_carries_iteration_and_partial_trace(self):
         m = toy_model(d_z=100, seed=0)

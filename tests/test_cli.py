@@ -49,7 +49,7 @@ class TestParseConfig:
         assert any("particles" in rec.message for rec in caplog.records)
 
     def test_gamma_forbidden_for_coin(self, tmp_path):
-        with pytest.raises(ConfigError, match="gamma forbidden"):
+        with pytest.raises(ConfigError, match="gamma is forbidden"):
             parse_config(None, {"model": "toy", "algorithm": "coin_em", "gamma": 0.1})
 
     def test_gamma_required_for_rate_algorithms(self):
@@ -85,6 +85,22 @@ class TestParseConfig:
     def test_bad_sweep_settings(self):
         with pytest.raises(ConfigError, match="sweep_values"):
             parse_config(None, {"model": "toy", "algorithm": "pgd", "sweep_param": "gamma"})
+
+    @pytest.mark.parametrize("param,values", [
+        ("particles", "2,inf"), ("particles", "nan"), ("gamma", "0.1,nan"), ("gamma", "inf"),
+    ])
+    def test_non_finite_sweep_values_rejected(self, param, values):
+        overrides = {"model": "toy", "algorithm": "pgd", "sweep_param": param, "sweep_values": values}
+        if param == "particles":
+            overrides["gamma"] = 0.1
+        with pytest.raises(ConfigError, match="sweep_values must all be finite and positive"):
+            parse_config(None, overrides)
+
+    @pytest.mark.parametrize("key", ["gamma", "bandwidth"])
+    def test_nan_run_setting_rejected(self, key):
+        overrides = {"model": "toy", "algorithm": "pgd", "gamma": "0.1", key: "nan"}
+        with pytest.raises(ConfigError, match=f"{key} must be a finite positive number, got nan"):
+            parse_config(None, overrides)
 
 
 class TestDeriveSeed:
@@ -137,7 +153,18 @@ class TestRunCommand:
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, TOY_CFG), "--gamma", "0.1"])
         assert code == 2
-        assert "gamma forbidden" in capsys.readouterr().err
+        assert "gamma is forbidden" in capsys.readouterr().err
+
+    def test_marginal_algorithm_without_mstep_exit_code(self, tmp_path, capsys):
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\n", encoding="utf-8")
+        code = main([
+            "run", "--model", "network", "--algorithm", "marginal_coin_em", "--particles", "2",
+            "--iters", "1", "--edgelist-path", str(edges), "--out", str(tmp_path / "runs"),
+        ])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["run", "--config", "/nonexistent/x.cfg"])
@@ -195,6 +222,17 @@ class TestSweepCommand:
         ])
         assert code == 0
         assert (out / "toy_pgd_001.csv").read_bytes() == (single_out / "toy_pgd_001.csv").read_bytes()
+
+    @pytest.mark.parametrize("param,values", [("particles", "2,inf"), ("gamma", "0.01,nan")])
+    def test_non_finite_grid_rejected_before_any_point_runs(self, tmp_path, capsys, param, values):
+        out = tmp_path / "sweep"
+        args = self.sweep_config(tmp_path, values, out)
+        args[args.index("gamma")] = param
+        if param == "particles":
+            args += ["--gamma", "0.01"]
+        assert main(args) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_requires_grid(self, tmp_path):
         code = main(["sweep", "--model", "toy", "--algorithm", "coin_em"])
