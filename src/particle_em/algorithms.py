@@ -27,8 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .exceptions import ConfigError, DivergedError
-from .kernels import median_heuristic, resolve_bandwidth, stein_direction
+from .kernels import median_heuristic, stein_direction
 from .models.base import Model
 
 
@@ -106,12 +107,16 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
 
 
 def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) -> np.ndarray:
-    """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic)."""
-    bandwidth = resolve_bandwidth(z, h)
-    # squared distances of an exploding cloud can overflow the heuristic
+    """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
+
+    The squared distances are computed once and shared by the bandwidth and the kernel.
+    """
+    sq = kernels.pairwise_sq_dists(z)
+    bandwidth = median_heuristic(z, sq) if h is None else float(h)
+    # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, model.grad_z(theta, z), bandwidth)
+    return stein_direction(z, model.grad_z(theta, z), bandwidth, sq)
 
 
 def _kt(x0, x, c, csum, reward, t):

@@ -200,10 +200,24 @@ def _point_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
     return points
 
 
+def _worker_count(n_points: int) -> int:
+    """Sweep workers: ``PARTICLE_EM_WORKERS`` if set, else one per CPU; at most one per point."""
+    text = os.environ.get(WORKERS_ENV, "").strip()
+    if not text:
+        return min(os.cpu_count() or 1, n_points)
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError([f"{WORKERS_ENV} must be a positive integer, got {text!r}"])
+    return min(workers, n_points)
+
+
 def run_sweep(config: ExperimentConfig) -> str:
     """Run every grid point and write the summary CSV; returns its path."""
     points = _point_configs(config)
-    workers = int(os.environ.get(WORKERS_ENV, 0)) or min(os.cpu_count() or 1, len(points))
+    workers = _worker_count(len(points))
     results: dict[int, tuple[float, float]] = {}
     if workers <= 1:
         for point in points:

@@ -174,7 +174,8 @@ def load_edgelist(path: str, labels_path: str | None = None) -> AdjacencyNetwork
 
     Node names are arbitrary tokens, mapped to indices in sorted-name order.
     Duplicate edges are merged; self-loops are dropped with a warning and
-    counted. Blank lines and lines starting with '#' are skipped. An optional
+    counted. Blank lines and lines starting with '#' are skipped; a file that
+    yields no edge between distinct nodes is a :class:`ParseError`. An optional
     labels file of 'name display-label' lines overrides display labels.
     """
     pairs: list[tuple[str, str]] = []
@@ -200,6 +201,8 @@ def load_edgelist(path: str, labels_path: str | None = None) -> AdjacencyNetwork
         edges.add((min(i, j), max(i, j)))
     if self_loops:
         logger.warning("dropped %d self-loop(s) while reading %s", self_loops, path)
+    if not edges:
+        raise ParseError(f"{path}: no edge between two distinct nodes ({self_loops} self-loop(s) dropped)")
 
     labels = list(names)
     if labels_path is not None:

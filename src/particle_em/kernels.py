@@ -22,56 +22,61 @@ def pairwise_sq_dists(particles: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def median_heuristic(particles: np.ndarray) -> float:
+def median_heuristic(particles: np.ndarray, sq: np.ndarray | None = None) -> float:
     """Bandwidth h = med^2 / ln(N), med the median off-diagonal pair distance.
 
     Falls back to h = 1.0 when there are no pairs (N = 1), when all particles
     coincide (med = 0), or when ln(N) = 0. Even pair counts use the mean of
-    the two middle order statistics.
+    the two middle order statistics. ``sq``, if given, must equal
+    ``pairwise_sq_dists(particles)``; it saves recomputing the distances.
     """
     z = np.asarray(particles, dtype=np.float64)
     n = z.shape[0]
     if n < 2:
         return 1.0
-    sq = pairwise_sq_dists(z)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    if sq is None:
+        sq = pairwise_sq_dists(z)
+    # sq is exactly symmetric with a zero diagonal, so its sorted entries are N
+    # zeros then each of the M pair values twice: order statistics k and k + 1
+    # are the two middle pair values (equal when M is odd). sqrt is monotone and
+    # correctly rounded, so selecting before the sqrt matches np.median exactly.
+    k = n + n * (n - 1) // 2 - 1
+    part = np.partition(sq.ravel(), k)
+    med = float(np.mean(np.sqrt([part[k], part[k + 1:].min()])))
     log_n = np.log(n)
     if med == 0.0 or log_n == 0.0:
         return 1.0
     return med * med / log_n
 
 
-def resolve_bandwidth(particles: np.ndarray, h: float | None = None) -> float:
-    """Return ``h`` if fixed, otherwise the median-heuristic bandwidth."""
-    if h is None:
-        return median_heuristic(particles)
+def rbf_matrix(particles: np.ndarray, h: float, sq: np.ndarray | None = None) -> np.ndarray:
+    """Kernel matrix K[i, j] = exp(-||z_i - z_j||^2 / h), shape (N, N).
+
+    ``sq``, if given, must equal ``pairwise_sq_dists(particles)``.
+    """
     h = float(h)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"bandwidth must be a finite positive number, got {h}")
-    return h
+    if sq is None:
+        sq = pairwise_sq_dists(particles)
+    return np.exp(-sq / h)
 
 
-def rbf_matrix(particles: np.ndarray, h: float) -> np.ndarray:
-    """Kernel matrix K[i, j] = exp(-||z_i - z_j||^2 / h), shape (N, N)."""
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"bandwidth must be a finite positive number, got {h}")
-    return np.exp(-pairwise_sq_dists(particles) / h)
-
-
-def stein_direction(particles: np.ndarray, grads: np.ndarray, h: float) -> np.ndarray:
+def stein_direction(
+    particles: np.ndarray, grads: np.ndarray, h: float, sq: np.ndarray | None = None
+) -> np.ndarray:
     """Per-particle update velocity combining attraction and kernel repulsion.
 
     Row i is (1/N) * sum_j [ k(z_j, z_i) * grads[j] + grad_{z_j} k(z_j, z_i) ],
     where grads[j] is the log-density gradient at particle j and, for the RBF
-    kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i).
+    kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i). ``sq``, if
+    given, must equal ``pairwise_sq_dists(particles)``.
     """
     z = np.asarray(particles, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != z.shape:
         raise ValueError(f"grads shape {g.shape} does not match particles shape {z.shape}")
-    k = rbf_matrix(z, h)
+    k = rbf_matrix(z, h, sq)
     n = z.shape[0]
     # K is symmetric; K.T keeps the sum-over-first-argument convention explicit.
     attraction = k.T @ g

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from particle_em.kernels import pairwise_sq_dists
 from particle_em.models.base import Model
 
 
@@ -56,6 +57,20 @@ def stein_naive(particles, grads, h):
             kji = np.exp(-np.sum((z[j] - z[i]) ** 2) / h)
             out[i] += kji * g[j] + (2.0 / h) * (z[i] - z[j]) * kji
     return out / n
+
+
+def median_heuristic_naive(particles):
+    """Reference bandwidth: np.median over the square roots of the upper-triangle pair distances."""
+    z = np.asarray(particles, dtype=np.float64)
+    n = z.shape[0]
+    if n < 2:
+        return 1.0
+    sq = pairwise_sq_dists(z)
+    med = float(np.median(np.sqrt(sq[np.triu_indices(n, 1)])))
+    log_n = np.log(n)
+    if med == 0.0 or log_n == 0.0:
+        return 1.0
+    return med * med / log_n
 
 
 class ConstantGradientModel(Model):

@@ -357,6 +357,16 @@ class TestRunLoop:
         frozen = run("svgd_em", m, RunConfig(**{**base.__dict__, "freeze_bandwidth": True}))
         assert not np.array_equal(adaptive.final_particles, frozen.final_particles)
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_overflowing_bandwidth_diverges_frozen_or_not(self, freeze):
+        # the pair distances of this cloud overflow, so the heuristic (frozen at init or not) is inf
+        init = (np.zeros(1), np.array([[1e200], [-1e200], [0.0]]))
+        config = RunConfig(n_particles=3, n_iters=2, init=init, freeze_bandwidth=freeze)
+        message = "median-heuristic bandwidth overflowed on a diverging cloud"
+        with pytest.raises(DivergedError, match=message) as excinfo:
+            run("coin_em", toy_model(d_z=1), config)
+        assert excinfo.value.iteration == 1
+
     def test_fixed_bandwidth_run(self):
         m = toy_model(d_z=3)
         trace = run("svgd_em", m, RunConfig(n_particles=4, n_iters=10, gamma=0.05, seed=5, bandwidth=2.0))

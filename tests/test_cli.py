@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from particle_em import cli
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
 from particle_em.config import ExperimentConfig, parse_config
 from particle_em.exceptions import ConfigError
@@ -166,6 +167,17 @@ class TestRunCommand:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_empty_edge_list_exit_code(self, tmp_path, capsys):
+        edges = tmp_path / "net.txt"
+        edges.write_text("# no edges\n", encoding="utf-8")
+        code = main([
+            "run", "--model", "network", "--algorithm", "adaptive_coin_em", "--particles", "2",
+            "--iters", "1", "--edgelist-path", str(edges), "--out", str(tmp_path / "runs"),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_config_file_exit_code(self, capsys):
         code = main(["run", "--config", "/nonexistent/x.cfg"])
         assert code == 1
@@ -210,6 +222,41 @@ class TestSweepCommand:
         for k in range(3):
             name = f"toy_pgd_{k:03d}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count_rejected_before_any_point_runs(self, tmp_path, monkeypatch, capsys, value):
+        out = tmp_path / "sweep"
+        monkeypatch.setenv("PARTICLE_EM_WORKERS", value)
+        assert main(self.sweep_config(tmp_path, "0.001,0.01", out)) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "PARTICLE_EM_WORKERS" in err
+        assert not out.exists()
+
+    # 3 grid points on a 2-CPU host; an empty value means one worker per CPU
+    @pytest.mark.parametrize("value,want", [("64", 3), ("2", 2), ("", 2)])
+    def test_worker_count_capped_at_grid_size(self, tmp_path, monkeypatch, value, want):
+        pools = []
+
+        class SerialPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("PARTICLE_EM_WORKERS", value)
+        assert main(self.sweep_config(tmp_path, "0.001,0.005,0.01", tmp_path / "sweep")) == 0
+        assert pools == [want]
 
     def test_sweep_point_reproducible_as_single_run(self, tmp_path):
         out = tmp_path / "sweep"

@@ -175,6 +175,12 @@ class TestLoadEdgelist:
         with pytest.raises(ParseError, match="line 2"):
             load_edgelist(path)
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n", "a a\nb b\n"], ids=["empty", "comments", "self-loops"])
+    def test_no_edge_is_a_parse_error(self, tmp_path, text):
+        path = write(tmp_path / "e.txt", text)
+        with pytest.raises(ParseError, match="no edge"):
+            load_edgelist(path)
+
     def test_labels_file(self, tmp_path):
         path = write(tmp_path / "e.txt", "n1 n2\n")
         labels = write(tmp_path / "l.txt", "n1 Alice\nn2 Bob\n")

@@ -1,14 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from particle_em import algorithms, kernels
+from particle_em.algorithms import BettingState, SvgdEmState
 from particle_em.kernels import (
     median_heuristic,
     pairwise_sq_dists,
     rbf_matrix,
-    resolve_bandwidth,
     stein_direction,
 )
-from helpers import stein_naive
+from particle_em.models import GaussianHierarchicalModel
+from helpers import median_heuristic_naive, stein_naive
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (a, b)
+
+
+#: coordinate values: moderate reals, an integer grid (ties), and magnitudes
+#: whose squared differences overflow to inf
+COORDS = {
+    "real": st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    "grid": st.integers(-3, 3).map(float),
+    "huge": st.floats(1e154, 1e200).flatmap(lambda x: st.sampled_from([x, -x, 0.0])),
+}
+
+
+@st.composite
+def clouds(draw, max_n=64, max_d=6, kinds=tuple(COORDS)):
+    """(N, d) clouds, N in [1, max_n], d in [1, max_d]; some rows repeated (coincident particles)."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    kind = draw(st.sampled_from(kinds))
+    distinct = draw(st.integers(1, n))
+    rows = draw(hnp.arrays(np.float64, (distinct, d), elements=COORDS[kind]))
+    pick = draw(hnp.arrays(np.intp, n, elements=st.integers(0, distinct - 1)))
+    return rows[pick]
+
+
+moderate_clouds = clouds(max_n=24, kinds=("real", "grid"))
 
 
 class TestPairwiseSqDists:
@@ -66,6 +100,27 @@ class TestMedianHeuristic:
         perm = rng.permutation(11)
         assert median_heuristic(z) == median_heuristic(z[perm])
 
+    @given(clouds())
+    def test_matches_np_median_reference_bitwise(self, z):
+        want = median_heuristic_naive(z)
+        assert_bitwise_equal(median_heuristic(z), want)
+        assert_bitwise_equal(median_heuristic(z, pairwise_sq_dists(z)), want)
+
+    def test_every_cloud_size_up_to_64_on_an_integer_grid(self):
+        # odd and even pair counts M = N(N-1)/2, with ties and coincident particles
+        rng = np.random.default_rng(8)
+        parities = set()
+        for n in range(1, 65):
+            for d in (1, 3):
+                z = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+                assert_bitwise_equal(median_heuristic(z), median_heuristic_naive(z))
+            parities.add(n * (n - 1) // 2 % 2)
+        assert parities == {0, 1}
+
+    def test_overflowing_cloud_gives_inf(self):
+        z = np.array([[1e200], [-1e200], [0.0]])
+        assert median_heuristic(z) == np.inf == median_heuristic_naive(z)
+
 
 class TestRbfMatrix:
     def test_identical_particles_all_ones(self):
@@ -90,14 +145,9 @@ class TestRbfMatrix:
             with pytest.raises(ValueError):
                 rbf_matrix(z, h)
 
-
-class TestResolveBandwidth:
-    def test_none_uses_median_heuristic(self):
-        z = np.array([[0.0], [1.0], [3.0]])
-        assert resolve_bandwidth(z, None) == median_heuristic(z)
-
-    def test_fixed_value_passes_through(self):
-        assert resolve_bandwidth(np.zeros((2, 1)), 2.5) == 2.5
+    @given(clouds(), st.floats(0.05, 20.0))
+    def test_precomputed_distances_give_the_same_matrix(self, z, h):
+        assert_bitwise_equal(rbf_matrix(z, h, pairwise_sq_dists(z)), rbf_matrix(z, h))
 
 
 class TestSteinDirection:
@@ -136,6 +186,75 @@ class TestSteinDirection:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             stein_direction(np.zeros((3, 2)), np.zeros((3, 3)), 1.0)
+
+    @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
+    def test_precomputed_distances_give_the_same_direction(self, data, z, h):
+        g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
+        assert_bitwise_equal(stein_direction(z, g, h, pairwise_sq_dists(z)), stein_direction(z, g, h))
+
+    @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
+    def test_permutation_equivariance_property(self, data, z, h):
+        g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
+        perm = data.draw(st.permutations(range(z.shape[0])))
+        phi = stein_direction(z, g, h)
+        np.testing.assert_allclose(stein_direction(z[perm], g[perm], h), phi[perm], rtol=1e-9, atol=1e-9)
+
+    @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
+    def test_translation_invariance_property(self, data, z, h):
+        g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
+        shift = data.draw(hnp.arrays(np.float64, z.shape[1], elements=st.floats(-10.0, 10.0)))
+        phi = stein_direction(z, g, h)
+        np.testing.assert_allclose(stein_direction(z + shift, g, h), phi, rtol=1e-9, atol=1e-9)
+
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.just(1), st.integers(1, 6)), elements=COORDS["real"]),
+        st.data(),
+        st.floats(1e-3, 1e3),
+    )
+    def test_single_particle_reduces_to_gradient_property(self, z, data, h):
+        g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
+        assert_bitwise_equal(stein_direction(z, g, h), g)
+
+
+class TestSharedDistances:
+    """Each kernelized step builds the (N, N) squared distances once, fixed bandwidth or not."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        inner = kernels.pairwise_sq_dists
+
+        def counted(particles):
+            calls.append(1)
+            return inner(particles)
+
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
+        return calls
+
+    @staticmethod
+    def setup(algorithm):
+        model = GaussianHierarchicalModel(np.array([0.5, -1.0]))
+        z = np.random.default_rng(9).standard_normal((6, 2))
+        theta = np.zeros(1)
+        if algorithm in ("svgd_em", "marginal_svgd_em", "pgd"):
+            return SvgdEmState(theta=theta, particles=z, gamma=0.1), model
+        return BettingState.initial(theta, z), model
+
+    @pytest.mark.parametrize("h", [None, 0.7])
+    @pytest.mark.parametrize(
+        "algorithm", ["svgd_em", "coin_em", "adaptive_coin_em", "marginal_svgd_em", "marginal_coin_em"]
+    )
+    def test_one_distance_matrix_per_step(self, monkeypatch, algorithm, h):
+        state, model = self.setup(algorithm)
+        calls = self.counting(monkeypatch)
+        getattr(algorithms, f"{algorithm}_step")(state, model, h)
+        assert len(calls) == 1
+
+    def test_pgd_builds_none(self, monkeypatch):
+        state, model = self.setup("pgd")
+        calls = self.counting(monkeypatch)
+        algorithms.pgd_step(state, model, np.random.default_rng(0))
+        assert calls == []
 
 
 def test_kernel_gradient_matches_finite_differences():
