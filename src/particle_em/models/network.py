@@ -7,7 +7,9 @@ distance model); link_sign = +1 is available as a flag. Latents carry an
 isotropic Gaussian prior with variance prior_var_z (set to inf to disable).
 
 The flat latent vector has length d_z = n * embed_dim and reshapes row-major
-to (n, embed_dim).
+to (n, embed_dim). Distances, sigmoids and edge terms are evaluated once per
+unordered node pair (a table of the n(n-1)/2 pairs i < j built at construction),
+with results bit-identical to a dense (n, n) evaluation.
 """
 
 from __future__ import annotations
@@ -48,7 +50,14 @@ class LatentSpaceNetworkModel(Model):
         self.prior_var_z = float(prior_var_z)
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
-        self._pair_mask = np.triu(np.ones((self.n_nodes, self.n_nodes), dtype=bool), k=1)
+        # pair table: the M = n(n-1)/2 node pairs i < j in row-major order, their
+        # edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
+        self._iu, self._ju = np.triu_indices(self.n_nodes, 1)
+        self._Y_pairs = Y[self._iu, self._ju]
+        m = self._iu.size
+        self._pair_slot = np.zeros(Y.shape, dtype=np.intp)
+        self._pair_slot[self._iu, self._ju] = np.arange(1, m + 1)
+        self._pair_slot[self._ju, self._iu] = np.arange(m + 1, 2 * m + 1)
 
     def _positions(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64).ravel()
@@ -56,16 +65,16 @@ class LatentSpaceNetworkModel(Model):
             raise ValueError(f"latent vector must have length {self.d_z}, got {z.size}")
         return z.reshape(self.n_nodes, self.embed_dim)
 
-    def _distances(self, pos: np.ndarray) -> np.ndarray:
-        diff = pos[:, None, :] - pos[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    def _pair_geometry(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Differences pos_i - pos_j (M, e) and distances (M,) over the pairs i < j."""
+        diff = np.take(pos, self._iu, 0) - np.take(pos, self._ju, 0)
+        return diff, np.sqrt(np.einsum("mk,mk->m", diff, diff))
 
     def log_joint(self, theta, z) -> float:
         t = as_theta(theta, 1)[0]
         pos = self._positions(z)
-        eta = t + self.link_sign * self._distances(pos)
-        pair_terms = self.Y * eta - softplus(eta)
-        total = float(pair_terms[self._pair_mask].sum())
+        eta = t + self.link_sign * self._pair_geometry(pos)[1]
+        total = float((self._Y_pairs * eta - softplus(eta)).sum())
         if np.isfinite(self.prior_var_z):
             total -= 0.5 * np.sum(pos * pos) / self.prior_var_z
             total -= 0.5 * self.d_z * (_LOG_2PI + np.log(self.prior_var_z))
@@ -76,24 +85,26 @@ class LatentSpaceNetworkModel(Model):
         z = as_particles(particles, self.d_z)
         out = np.empty((z.shape[0], 1))
         for k in range(z.shape[0]):
-            pos = self._positions(z[k])
-            p = sigmoid(t + self.link_sign * self._distances(pos))
-            out[k, 0] = (self.Y - p)[self._pair_mask].sum()
+            dist = self._pair_geometry(self._positions(z[k]))[1]
+            out[k, 0] = (self._Y_pairs - sigmoid(t + self.link_sign * dist)).sum()
         return out
 
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)
         out = np.empty_like(z)
+        zero_unit = np.zeros((1, self.embed_dim))
         for k in range(z.shape[0]):
             pos = self._positions(z[k])
-            diff = pos[:, None, :] - pos[None, :, :]  # (n, n, e)
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            p = sigmoid(t + self.link_sign * dist)
-            weight = (self.Y - p) * self.link_sign
-            np.fill_diagonal(weight, 0.0)
+            diff, dist = self._pair_geometry(pos)
+            weight = (self._Y_pairs - sigmoid(t + self.link_sign * dist)) * self.link_sign
             with np.errstate(divide="ignore", invalid="ignore"):
-                unit = np.where(dist[:, :, None] > _COINCIDENT_TOL, diff / dist[:, :, None], 0.0)
+                unit = np.where(dist[:, None] > _COINCIDENT_TOL, diff / dist[:, None], 0.0)
+            # rebuilding the full (n, n) weights (symmetric) and (n, n, e) unit vectors
+            # (antisymmetric) keeps the sum over j in the dense order, bit for bit; where
+            # -unit is -0.0 against a dense +0.0, the zero product cannot change the sum
+            weight = np.take(np.concatenate(([0.0], weight, weight)), self._pair_slot)
+            unit = np.take(np.concatenate((zero_unit, unit, -unit)), self._pair_slot, 0)
             grad_pos = np.einsum("ij,ijk->ik", weight, unit)
             if np.isfinite(self.prior_var_z):
                 grad_pos -= pos / self.prior_var_z

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from particle_em.kernels import pairwise_sq_dists
+from particle_em.models import sigmoid, softplus
 from particle_em.models.base import Model
 
 
@@ -46,6 +47,11 @@ def assert_gradients_match_fd(model, theta, z, tol=1e-5):
     assert max_rel_err(analytic_z, fd_grad_z(model, theta, z)) <= tol
 
 
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (a, b)
+
+
 def stein_naive(particles, grads, h):
     """Double-loop reference for the kernelized update direction."""
     z = np.asarray(particles, dtype=np.float64)
@@ -71,6 +77,55 @@ def median_heuristic_naive(particles):
     if med == 0.0 or log_n == 0.0:
         return 1.0
     return med * med / log_n
+
+
+def _network_dense(model, z):
+    """Positions (n, e), differences (n, n, e) and distances (n, n) over every ordered node pair."""
+    pos = np.asarray(z, dtype=np.float64).reshape(model.n_nodes, model.embed_dim)
+    diff = pos[:, None, :] - pos[None, :, :]
+    return pos, diff, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def network_log_joint_naive(model, theta, z):
+    """Reference network log joint: the dense (n, n) edge terms summed over the upper triangle."""
+    pos, _, dist = _network_dense(model, z)
+    eta = np.atleast_1d(theta)[0] + model.link_sign * dist
+    pair_terms = model.Y * eta - softplus(eta)
+    total = float(pair_terms[np.triu(np.ones(model.Y.shape, dtype=bool), k=1)].sum())
+    if np.isfinite(model.prior_var_z):
+        total -= 0.5 * np.sum(pos * pos) / model.prior_var_z
+        total -= 0.5 * model.d_z * (np.log(2.0 * np.pi) + np.log(model.prior_var_z))
+    return total
+
+
+def network_grad_theta_naive(model, theta, particles):
+    """Reference network parameter gradient, one dense (n, n) evaluation per particle."""
+    t = np.atleast_1d(theta)[0]
+    z = np.atleast_2d(np.asarray(particles, dtype=np.float64))
+    upper = np.triu(np.ones(model.Y.shape, dtype=bool), k=1)
+    out = np.empty((z.shape[0], 1))
+    for k in range(z.shape[0]):
+        p = sigmoid(t + model.link_sign * _network_dense(model, z[k])[2])
+        out[k, 0] = (model.Y - p)[upper].sum()
+    return out
+
+
+def network_grad_z_naive(model, theta, particles):
+    """Reference network latent gradient from the dense (n, n) weights and (n, n, e) unit vectors."""
+    t = np.atleast_1d(theta)[0]
+    z = np.atleast_2d(np.asarray(particles, dtype=np.float64))
+    out = np.empty_like(z)
+    for k in range(z.shape[0]):
+        pos, diff, dist = _network_dense(model, z[k])
+        weight = (model.Y - sigmoid(t + model.link_sign * dist)) * model.link_sign
+        np.fill_diagonal(weight, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = np.where(dist[:, :, None] > 1e-12, diff / dist[:, :, None], 0.0)
+        grad_pos = np.einsum("ij,ijk->ik", weight, unit)
+        if np.isfinite(model.prior_var_z):
+            grad_pos -= pos / model.prior_var_z
+        out[k] = grad_pos.ravel()
+    return out
 
 
 class ConstantGradientModel(Model):

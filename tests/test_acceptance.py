@@ -7,9 +7,10 @@ printing a PASS/FAIL line. Run with::
 
 The predictive-quality criterion runs against the canonical Wisconsin
 breast-cancer CSV when available (tests/data/wisconsin.csv, or the
-WISCONSIN_CSV environment variable; see README for how to fetch it) and is
-otherwise exercised on the locally bundled clinical dataset with identical
-protocol and tolerances.
+WISCONSIN_CSV environment variable; see README for how to fetch it), on
+scikit-learn's copy of the breast-cancer data when scikit-learn is installed,
+and always on a seeded synthetic logistic CSV written by the test, all with
+identical protocol and tolerances.
 """
 
 import csv
@@ -183,6 +184,25 @@ def test_c04_logreg_predictive_quality_standin(tmp_path):
             writer.writerow([repr(float(v)) for v in row] + [str(int(lab))])
     dataset = load_csv(str(path), "label", "1")
     _logistic_protocol(dataset, "stand-in data")
+
+
+def test_c04_logreg_predictive_quality_synthetic(tmp_path):
+    # identical protocol and tolerances on seeded logistic data that needs no download:
+    # 400 standard-normal 9-feature rows, labels ~ Bernoulli(sigmoid(x.w)) with ||w|| = 12
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((400, 9))
+    w = rng.standard_normal(9)
+    w *= 12.0 / np.linalg.norm(w)
+    y = (rng.random(400) < sigmoid(X @ w)).astype(int)
+    path = tmp_path / "synthetic.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{i}" for i in range(9)] + ["label"])
+        for row, lab in zip(X, y):
+            writer.writerow([repr(float(v)) for v in row] + [str(lab)])
+    dataset = load_csv(str(path), "label", "1")
+    assert (dataset.n, dataset.d) == (400, 9)
+    _logistic_protocol(dataset, "synthetic data")
 
 
 def test_c05_learning_rate_sensitivity(tmp_path):

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from particle_em.algorithms import (
     BettingState,
@@ -12,6 +17,8 @@ from particle_em.algorithms import (
     pgd_step,
     run,
     svgd_em_step,
+    _adaptive_update,
+    _kt,
 )
 from particle_em.data import generate_toy_data
 from particle_em.exceptions import ConfigError, DivergedError, MissingMStepError
@@ -173,6 +180,66 @@ class TestAdaptiveCoinEmStep:
             g = m.mean_grad_theta(prev.theta, prev.particles)
             assert np.all(np.abs(g) <= cur.L_theta)
             prev = cur
+
+
+#: gradient entries: exact zeros and magnitudes in [1e-2, 1e2] of either sign
+GRADIENT_ENTRIES = st.just(0.0) | st.floats(1e-2, 1e2).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def gradient_streams(draw, entries=GRADIENT_ENTRIES):
+    """(x0, stream): anchors (rows, d) and T gradients (T, rows, d); some coordinates always 0."""
+    rows, d, steps = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 25))
+    x0 = draw(hnp.arrays(np.float64, (rows, d), elements=st.floats(-5.0, 5.0)))
+    stream = draw(hnp.arrays(np.float64, (steps, rows, d), elements=entries))
+    dead = draw(hnp.arrays(np.bool_, (rows, d)))
+    return x0, np.where(dead, 0.0, stream)
+
+
+class TestBettingInvariants:
+    @pytest.mark.parametrize("denominator", ["standard", "bnn"])
+    @given(gradient_streams())
+    def test_adaptive_update_invariants(self, denominator, case):
+        x0, stream = case
+        x, csum = x0.copy(), np.zeros_like(x0)
+        L, G, R = np.zeros_like(x0), np.zeros_like(x0), np.zeros_like(x0)
+        seen = np.zeros(x0.shape, dtype=bool)
+        for c in stream:
+            x, csum, L_new, G_new, R = _adaptive_update(x0, x, csum, c, L, G, R, denominator)
+            assert np.all(L_new >= L) and np.all(G_new >= G)
+            assert np.all(R >= 0.0)
+            L, G = L_new, G_new
+            seen |= c != 0.0
+            np.testing.assert_array_equal(x[~seen], x0[~seen])
+            if denominator == "bnn":
+                # x - x0 = csum / D * (1 + R / L) with D >= 100 L, up to the rounding of x0 + step
+                bound = np.abs(csum[seen]) / (100.0 * L[seen]) * (1.0 + R[seen] / L[seen])
+                rounding = 4.0 * np.spacing(np.maximum(np.abs(x0), np.abs(x)))[seen]
+                assert np.all(np.abs(x - x0)[seen] <= bound * (1.0 + 1e-12) + rounding)
+
+    @pytest.mark.parametrize("cloud", [False, True])
+    @given(gradient_streams(entries=st.floats(-1.0, 1.0)))
+    def test_kt_reward_is_running_inner_product_sum(self, cloud, case):
+        x0, stream = case
+        if not cloud:  # a single vector iterate, as for theta
+            x0, stream = x0[0], stream[:, 0]
+        stream = stream / np.maximum(1.0, np.linalg.norm(stream, axis=-1, keepdims=True))
+        x, csum = x0.copy(), np.zeros_like(x0)
+        reward = np.zeros(x0.shape[:-1])
+        terms = []
+        for t, c in enumerate(stream):
+            terms.append(np.einsum("...i,...i->...", c, x - x0))
+            x, csum, reward = _kt(x0, x, c, csum, reward, t)
+            history = np.reshape(terms, (t + 1, -1))
+            expected = np.array([math.fsum(col) for col in history.T])
+            scale = np.sum(np.abs(history), axis=0)
+            assert np.all(np.abs(np.ravel(reward) - expected) <= 1e-12 * (t + 1) * scale)
+            # the next iterate bets the fraction sum(c) / (t + 1) of the wealth 1 + reward
+            wealth = 1.0 + expected.reshape(np.shape(reward))
+            bet = stream[: t + 1].sum(axis=0) / (t + 1)
+            np.testing.assert_allclose(x, x0 + bet * wealth[..., None], rtol=1e-9, atol=1e-12)
+            # with ||c|| <= 1 the fraction stays below 1 in norm, so the wealth stays positive
+            assert np.all(wealth > 0.0)
 
 
 class TestMarginalSteps:

@@ -13,12 +13,7 @@ from particle_em.kernels import (
     stein_direction,
 )
 from particle_em.models import GaussianHierarchicalModel
-from helpers import median_heuristic_naive, stein_naive
-
-
-def assert_bitwise_equal(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (a, b)
+from helpers import assert_bitwise_equal, median_heuristic_naive, stein_naive
 
 
 #: coordinate values: moderate reals, an integer grid (ties), and magnitudes

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from particle_em.data import generate_toy_data
@@ -9,7 +13,14 @@ from particle_em.models import (
     LatentSpaceNetworkModel,
     sigmoid,
 )
-from helpers import assert_gradients_match_fd, planted_two_community_network
+from helpers import (
+    assert_bitwise_equal,
+    assert_gradients_match_fd,
+    network_grad_theta_naive,
+    network_grad_z_naive,
+    network_log_joint_naive,
+    planted_two_community_network,
+)
 
 
 @pytest.fixture
@@ -219,6 +230,78 @@ class TestLatentSpaceNetwork:
         np.testing.assert_array_equal(t1, t2)
         np.testing.assert_array_equal(z1, z2)
         assert z1.shape == (3, 10)
+
+
+#: node coordinates: moderate reals, an integer grid (shared coordinates), all
+#: zeros, and magnitudes near 1e3
+NODE_COORDS = {
+    "real": lambda rng, shape: rng.normal(0.0, 2.0, shape),
+    "grid": lambda rng, shape: rng.integers(-2, 3, shape).astype(np.float64),
+    "zero": lambda rng, shape: np.zeros(shape),
+    "near1e3": lambda rng, shape: rng.choice([-1e3, 1e3], shape) + rng.normal(0.0, 1.0, shape),
+}
+
+
+@st.composite
+def network_cases(draw, max_n=40):
+    """(model, theta, particles) with n in [1, max_n] (n = 1 has no pairs), e in {1, 2, 3},
+    N in [1, 8] and some coincident nodes."""
+    n = draw(st.integers(1, max_n))
+    e = draw(st.sampled_from([1, 2, 3]))
+    n_particles = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1).astype(np.float64)
+    model = LatentSpaceNetworkModel(
+        upper + upper.T,
+        embed_dim=e,
+        prior_var_z=draw(st.sampled_from([1.0, np.inf])),
+        link_sign=draw(st.sampled_from([-1.0, 1.0])),
+    )
+    theta = np.array([draw(st.sampled_from([0.0, -40.0, 40.0]) | st.floats(-10.0, 10.0))])
+    distinct = draw(st.integers(1, n))
+    rows = NODE_COORDS[draw(st.sampled_from(sorted(NODE_COORDS)))](rng, (n_particles, distinct, e))
+    pick = rng.integers(0, distinct, n)
+    pick[:distinct] = np.arange(distinct)
+    return model, theta, rows[:, pick].reshape(n_particles, n * e)
+
+
+class TestNetworkPairTable:
+    """The pair-table evaluation is bit-for-bit the dense (n, n) one kept in helpers."""
+
+    @given(network_cases())
+    def test_grad_theta_matches_dense_reference(self, case):
+        model, theta, z = case
+        assert_bitwise_equal(model.grad_theta(theta, z), network_grad_theta_naive(model, theta, z))
+
+    @given(network_cases())
+    def test_grad_z_matches_dense_reference(self, case):
+        model, theta, z = case
+        assert_bitwise_equal(model.grad_z(theta, z), network_grad_z_naive(model, theta, z))
+
+    @given(network_cases())
+    def test_log_joint_matches_dense_reference(self, case):
+        model, theta, z = case
+        for zk in z:
+            assert_bitwise_equal(model.log_joint(theta, zk), network_log_joint_naive(model, theta, zk))
+
+    @pytest.mark.parametrize("method", ["grad_z", "grad_theta"])
+    def test_peak_memory_does_not_grow_with_particles(self, method):
+        # a particle-batched (N, n, n, e) evaluation would scale the peak with N
+        Y, _ = planted_two_community_network(45, n=50)
+        m = LatentSpaceNetworkModel(Y, embed_dim=2)
+        z = np.random.default_rng(21).standard_normal((10, m.d_z))
+        theta = np.array([0.5])
+
+        def peak(particles):
+            getattr(m, method)(theta, particles)  # warm up
+            tracemalloc.start()
+            try:
+                getattr(m, method)(theta, particles)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(z) <= 1.5 * peak(z[:1])
 
 
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])
