@@ -2,9 +2,8 @@
 variable models, including tuning-free coin-betting variants."""
 
 from .algorithms import (
-    BettingState,
     RunConfig,
-    SvgdEmState,
+    State,
     Trace,
     adaptive_coin_em_step,
     coin_em_step,
@@ -12,6 +11,7 @@ from .algorithms import (
     marginal_svgd_em_step,
     pgd_step,
     run,
+    step,
     svgd_em_step,
 )
 from .exceptions import ConfigError, DivergedError, MissingMStepError, ParseError
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesianLogisticRegression",
-    "BettingState",
     "ConfigError",
     "DivergedError",
     "GaussianHierarchicalModel",
@@ -37,7 +36,7 @@ __all__ = [
     "Model",
     "ParseError",
     "RunConfig",
-    "SvgdEmState",
+    "State",
     "Trace",
     "adaptive_coin_em_step",
     "coin_em_step",
@@ -51,6 +50,7 @@ __all__ = [
     "procrustes_align",
     "rbf_matrix",
     "run",
+    "step",
     "stein_direction",
     "svgd_em_step",
     "test_error",

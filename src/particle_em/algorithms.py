@@ -1,28 +1,28 @@
 """Iterative optimizers over (parameter, particle cloud) pairs.
 
 Six particle-based schemes for maximizing the marginal likelihood of a
-latent-variable model, each a rule for theta paired with a rule for the
-particles (all but ``pgd`` move them along the cloud's kernelized direction):
+latent-variable model. Each pairs a theta rule, fed the parameter gradient
+averaged over the cloud, with a particle rule, fed the cloud's kernelized
+direction; ``ALGORITHMS`` maps every name to its pair. The rules:
 
-* ``svgd_em``          -- gradient steps (learning rate gamma) for both.
-* ``coin_em``          -- learning-rate-free; Krichevsky-Trofimov betting
-                          recursions on both gradient streams.
-* ``adaptive_coin_em`` -- betting with per-coordinate gradient-scale
-                          normalization for both (unbounded gradients).
-* ``marginal_*``       -- the model's exact closed-form M-step for theta;
-                          a gradient step or KT betting for the particles.
-* ``pgd``              -- Euler-Maruyama discretization of coupled parameter
-                          drift and latent Langevin dynamics (the
-                          learning-rate-dependent baseline).
+* ``gd``       -- gradient step with learning rate gamma.
+* ``kt``       -- Krichevsky-Trofimov coin betting (no learning rate).
+* ``adaptive`` -- coin betting with per-coordinate gradient-scale
+                  normalization (no learning rate; unbounded gradients).
+* ``mstep``    -- theta only: the model's exact closed-form M-step.
+* ``langevin`` -- particles only: a ``gd`` step on the raw latent gradient at
+                  the pre-update theta plus N(0, 2 gamma) noise (``pgd``, an
+                  Euler-Maruyama discretization of Langevin dynamics).
 
-Steps are pure state transitions: they never mutate their input state, and
-(for ``pgd``) the random generator is part of the input. Any non-finite value
-in an updated state aborts with :class:`DivergedError`.
+:func:`step` runs any pair on one :class:`State`; ``<name>_step`` is the public
+step of each algorithm. Steps are pure state transitions: they never mutate
+their input state, and (for ``pgd``) the random generator is part of the
+input. Any non-finite value in an updated state aborts with :class:`DivergedError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,71 +34,64 @@ from .models.base import Model
 
 
 # ---------------------------------------------------------------------------
-# optimizer states
+# optimizer state
+
+
+class KT(NamedTuple):
+    """Krichevsky-Trofimov accumulator: the gradient sum and the reward sum of <c_s, x_s - x0>."""
+
+    csum: np.ndarray
+    reward: np.ndarray  # a scalar for a vector iterate, one entry per row of a cloud
+
+
+class Scale(NamedTuple):
+    """Scale-normalized accumulator, per coordinate: the gradient sum, the largest gradient
+    magnitude L, the sum of magnitudes G and the clipped reward R (L, G never decrease; R >= 0)."""
+
+    csum: np.ndarray
+    L: np.ndarray
+    G: np.ndarray
+    R: np.ndarray
 
 
 @dataclass
-class SvgdEmState:
-    """State of the learning-rate algorithms: current iterate plus step size."""
+class State:
+    """The iterate of any rule pair.
+
+    ``gamma`` is the learning rate of ``gd`` and ``langevin``. The betting
+    rules bet from the anchors ``theta0`` and ``z0`` and keep their sums in
+    ``theta_acc`` and ``particle_acc`` (a :class:`KT` or :class:`Scale`; None
+    under the other rules). ``t`` counts completed steps.
+    """
 
     theta: np.ndarray  # (d_theta,)
     particles: np.ndarray  # (N, d_z)
-    gamma: float
-
-
-@dataclass
-class BettingState:
-    """Betting-recursion state: anchors, current iterate, and streamed sums.
-
-    ``sum_grad_*`` accumulate the parameter-gradient stream and, per particle,
-    the kernelized directions. The KT rule sums their inner products with
-    (x_s - x0) in ``reward_*``; the scale-normalized rule instead tracks per
-    coordinate the largest gradient magnitude L, the sum of absolute gradients
-    G and the clipped reward R (L, G non-decreasing, R >= 0). Each rule leaves
-    the other's fields at zero; ``t`` counts completed steps.
-    """
-
-    theta0: np.ndarray
-    z0: np.ndarray
-    theta: np.ndarray
-    particles: np.ndarray
-    sum_grad_theta: np.ndarray  # (d_theta,)
-    reward_theta: float
-    sum_grad_z: np.ndarray  # (N, d_z)
-    reward_z: np.ndarray  # (N,)
-    L_theta: np.ndarray  # (d_theta,)
-    G_theta: np.ndarray
-    R_theta: np.ndarray
-    L_z: np.ndarray  # (N, d_z)
-    G_z: np.ndarray
-    R_z: np.ndarray
+    gamma: float | None = None
+    theta0: np.ndarray | None = None
+    z0: np.ndarray | None = None
+    theta_acc: KT | Scale | None = None
+    particle_acc: KT | Scale | None = None
     t: int = 0
 
     @classmethod
-    def initial(cls, theta0, z0) -> "BettingState":
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        z0 = np.asarray(z0, dtype=np.float64)
-        return cls(
-            theta0=theta0.copy(),
-            z0=z0.copy(),
-            theta=theta0.copy(),
-            particles=z0.copy(),
-            sum_grad_theta=np.zeros_like(theta0),
-            reward_theta=0.0,
-            sum_grad_z=np.zeros_like(z0),
-            reward_z=np.zeros(z0.shape[0]),
-            L_theta=np.zeros_like(theta0),
-            G_theta=np.zeros_like(theta0),
-            R_theta=np.zeros_like(theta0),
-            L_z=np.zeros_like(z0),
-            G_z=np.zeros_like(z0),
-            R_z=np.zeros_like(z0),
-            t=0,
-        )
+    def initial(cls, algorithm: str, theta0, z0, gamma: float | None = None) -> "State":
+        """Step-0 state of ``algorithm`` at (theta0, z0), with zeroed accumulators."""
+        theta0, z0 = np.asarray(theta0, dtype=np.float64), np.asarray(z0, dtype=np.float64)
+        theta_rule, particle_rule = ALGORITHMS[algorithm]
+        return cls(theta0, z0, None if gamma is None else float(gamma), theta0, z0,
+                   _zero_acc(theta_rule, theta0), _zero_acc(particle_rule, z0))
+
+
+def _zero_acc(rule: str, x: np.ndarray) -> KT | Scale | None:
+    if rule == "kt":
+        return KT(np.zeros_like(x), np.zeros(x.shape[:-1]))
+    if rule == "adaptive":
+        return Scale(np.zeros_like(x), np.zeros_like(x), np.zeros_like(x), np.zeros_like(x))
+    return None
 
 
 # ---------------------------------------------------------------------------
-# single-step updates
+# update rules
 
 
 def _require_finite(what: str, arr: np.ndarray) -> None:
@@ -119,206 +112,115 @@ def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) 
     return stein_direction(z, model.grad_z(theta, z), bandwidth, sq)
 
 
-def _kt(x0, x, c, csum, reward, t):
-    """Krichevsky-Trofimov bet on the last axis after the t-th gradient c.
+def _kt(x0, x, c, acc: KT, t: int):
+    """Krichevsky-Trofimov bet on the last axis after the t-th gradient c; returns (x_new, acc).
 
-    Returns (x_new, csum, reward); reward sums <c_s, x_s - x0> and is a scalar
-    for a vector x, one entry per row for a cloud x.
+    After k steps x = x0 + sum(c_1..c_k) / (k + 1) * (1 + sum_s <c_s, x_s - x0>).
     """
-    csum = csum + c
-    reward = reward + np.einsum("...i,...i->...", c, x - x0)
-    return x0 + csum / (t + 1) * (1.0 + reward)[..., None], csum, reward
+    csum = acc.csum + c
+    reward = acc.reward + np.einsum("...i,...i->...", c, x - x0)
+    return x0 + csum / (t + 1) * (1.0 + reward)[..., None], KT(csum, reward)
 
 
-def _adaptive_update(x0, x, csum_prev, c, L_prev, G_prev, R_prev, denominator):
-    """Shared per-coordinate scale-normalized betting update.
+def _adaptive_update(x0, x, c, acc: Scale, denominator: str):
+    """Per-coordinate scale-normalized bet ``x0 + csum / D * (1 + R / L)``; returns (x_new, acc).
 
-    Returns (x_new, csum, L, G, R). Coordinates that have never seen a
-    non-zero gradient (L = 0) stay at their initial value.
+    D = G + L for the ``standard`` denominator and max(G + L, 100 L) for
+    ``bnn``. Coordinates that have never seen a non-zero gradient (L = 0) stay
+    at their initial value.
     """
     abs_c = np.abs(c)
-    L = np.maximum(L_prev, abs_c)
-    G = G_prev + abs_c
-    R = np.maximum(R_prev + c * (x - x0), 0.0)
-    csum = csum_prev + c
+    L = np.maximum(acc.L, abs_c)
+    G = acc.G + abs_c
+    R = np.maximum(acc.R + c * (x - x0), 0.0)
+    csum = acc.csum + c
     denom = G + L
     if denominator == "bnn":
         denom = np.maximum(denom, 100.0 * L)
+    elif denominator != "standard":
+        raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         candidate = x0 + csum / denom * (1.0 + R / L)
-    return np.where(L > 0.0, candidate, x0), csum, L, G, R
+    return np.where(L > 0.0, candidate, x0), Scale(csum, L, G, R)
 
 
-def svgd_em_step(state: SvgdEmState, model: Model, h: float | None = None) -> SvgdEmState:
-    """One gradient step on theta, then one kernelized transport step.
+def _move(rule: str, x0, x, c, acc, t: int, gamma: float | None, denominator: str):
+    """Move x along the gradient or direction c under ``rule``; returns (x_new, acc)."""
+    if rule == "adaptive":
+        return _adaptive_update(x0, x, c, acc, denominator)
+    if rule == "kt":
+        return _kt(x0, x, c, acc, t)
+    return x + gamma * c, acc
 
-    The particle update evaluates latent gradients at the already-updated
-    theta. ``h`` fixes the kernel bandwidth; None recomputes the median
-    heuristic from the current cloud.
+
+def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: float | None = None,
+         rng: np.random.Generator | None = None, denominator: str = "standard",
+         particle_grads_use_new_theta: bool = True) -> State:
+    """One step of a rule pair: theta first, then the particles.
+
+    ``h`` fixes the kernel bandwidth (None: the median heuristic of the
+    current cloud), ``rng`` draws the Langevin noise and ``denominator``
+    selects the ``adaptive`` variant. Kernelized particle rules take latent
+    gradients at the updated theta, or at the old one if
+    ``particle_grads_use_new_theta`` is False. Under ``mstep`` that theta is
+    the M-step of the old cloud, and the returned one is that of the new cloud.
     """
-    theta, z, gamma = state.theta, state.particles, state.gamma
+    theta, z, gamma, t = state.theta, state.particles, state.gamma, state.t + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        theta_new = theta + gamma * model.mean_grad_theta(theta, z)
-        _require_finite("theta update", theta_new)
-        z_new = z + gamma * _direction(model, theta_new, z, h)
+        if theta_rule == "mstep":
+            theta_new, theta_acc = model.marginal_mstep(z), state.theta_acc
+        else:
+            g_bar = model.mean_grad_theta(theta, z)
+            theta_new, theta_acc = _move(theta_rule, state.theta0, theta, g_bar, state.theta_acc, t, gamma, denominator)
+            _require_finite("theta update", theta_new)
+        if particle_rule == "langevin":
+            z_new = z + gamma * model.grad_z(theta, z) + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
+            particle_acc = state.particle_acc
+        else:
+            phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
+            z_new, particle_acc = _move(particle_rule, state.z0, z, phi, state.particle_acc, t, gamma, denominator)
     _require_finite("particle update", z_new)
-    return SvgdEmState(theta=theta_new, particles=z_new, gamma=gamma)
-
-
-def coin_em_step(
-    state: BettingState,
-    model: Model,
-    h: float | None = None,
-    particle_grads_use_new_theta: bool = True,
-) -> BettingState:
-    """One round of the two interacting betting games (no learning rate).
-
-    After k completed steps the iterate is
-    ``x = x0 + sum(c_1..c_k) / (k + 1) * (1 + sum_s <c_s, x_s - x0>)``,
-    applied to theta with the averaged parameter gradient and to each particle
-    with its kernelized direction. By default particle gradients are taken at
-    the just-updated theta; set ``particle_grads_use_new_theta=False`` for the
-    pre-update theta.
-    """
-    theta, z, t = state.theta, state.particles, state.t + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_bar = model.mean_grad_theta(theta, z)
-        theta_new, sum_g, reward = _kt(state.theta0, theta, g_bar, state.sum_grad_theta, state.reward_theta, t)
-        _require_finite("theta update", theta_new)
-        phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
-        z_new, sum_z, reward_z = _kt(state.z0, z, phi, state.sum_grad_z, state.reward_z, t)
-    _require_finite("particle update", z_new)
-    return replace(
-        state,
-        theta=theta_new,
-        particles=z_new,
-        sum_grad_theta=sum_g,
-        reward_theta=reward,
-        sum_grad_z=sum_z,
-        reward_z=reward_z,
-        t=t,
-    )
-
-
-def adaptive_coin_em_step(
-    state: BettingState,
-    model: Model,
-    h: float | None = None,
-    denominator: str = "standard",
-    particle_grads_use_new_theta: bool = True,
-) -> BettingState:
-    """Coin betting with per-coordinate scale normalization.
-
-    Each coordinate bets ``x0 + csum / D * (1 + R / L)`` where D = G + L for
-    the standard denominator, or max(G + L, 100 L) for the ``bnn`` variant.
-    """
-    if denominator not in ("standard", "bnn"):
-        raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
-    theta, z = state.theta, state.particles
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_new, sum_g, L_t, G_t, R_t = _adaptive_update(
-            state.theta0, theta, state.sum_grad_theta, model.mean_grad_theta(theta, z),
-            state.L_theta, state.G_theta, state.R_theta, denominator,
-        )
-        _require_finite("theta update", theta_new)
-        phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
-        z_new, sum_z, L_z, G_z, R_z = _adaptive_update(
-            state.z0, z, state.sum_grad_z, phi,
-            state.L_z, state.G_z, state.R_z, denominator,
-        )
-    _require_finite("particle update", z_new)
+    if theta_rule == "mstep":
+        theta_new = model.marginal_mstep(z_new)
     # the constructor, not dataclasses.replace: this is the default optimizer's per-step path
-    return BettingState(
-        theta0=state.theta0,
-        z0=state.z0,
-        theta=theta_new,
-        particles=z_new,
-        sum_grad_theta=sum_g,
-        reward_theta=state.reward_theta,
-        sum_grad_z=sum_z,
-        reward_z=state.reward_z,
-        L_theta=L_t,
-        G_theta=G_t,
-        R_theta=R_t,
-        L_z=L_z,
-        G_z=G_z,
-        R_z=R_z,
-        t=state.t + 1,
-    )
+    return State(theta_new, z_new, gamma, state.theta0, state.z0, theta_acc, particle_acc, t)
 
 
-def marginal_svgd_em_step(state: SvgdEmState, model: Model, h: float | None = None) -> SvgdEmState:
-    """Kernelized particle step with theta pinned to the exact M-step.
-
-    Latent gradients are evaluated at the M-step of the pre-update cloud; the
-    returned state carries the M-step of the post-update cloud, so
-    ``state.theta == model.marginal_mstep(state.particles)`` always holds.
-    """
-    z, gamma = state.particles, state.gamma
-    theta_used = model.marginal_mstep(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_new = z + gamma * _direction(model, theta_used, z, h)
-    _require_finite("particle update", z_new)
-    return SvgdEmState(theta=model.marginal_mstep(z_new), particles=z_new, gamma=gamma)
-
-
-def marginal_coin_em_step(state: BettingState, model: Model, h: float | None = None) -> BettingState:
-    """Betting-recursion particle step with theta pinned to the exact M-step.
-
-    The particle accumulators store each round's kernelized direction as
-    computed at that round's M-step parameter; the theta-side accumulators of
-    the state stay zero.
-    """
-    z, t = state.particles, state.t + 1
-    theta_used = model.marginal_mstep(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = _direction(model, theta_used, z, h)
-        z_new, sum_z, reward_z = _kt(state.z0, z, phi, state.sum_grad_z, state.reward_z, t)
-    _require_finite("particle update", z_new)
-    return replace(
-        state,
-        theta=model.marginal_mstep(z_new),
-        particles=z_new,
-        sum_grad_z=sum_z,
-        reward_z=reward_z,
-        t=t,
-    )
-
-
-def pgd_step(state: SvgdEmState, model: Model, rng: np.random.Generator) -> SvgdEmState:
-    """Euler-Maruyama step: parameter drift plus noisy latent Langevin step.
-
-    Both gradient evaluations use the pre-update theta; each particle receives
-    independent N(0, 2*gamma) noise per coordinate drawn from ``rng``.
-    """
-    theta, z, gamma = state.theta, state.particles, state.gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_new = theta + gamma * model.mean_grad_theta(theta, z)
-        _require_finite("theta update", theta_new)
-        noise = rng.standard_normal(z.shape)
-        z_new = z + gamma * model.grad_z(theta, z) + np.sqrt(2.0 * gamma) * noise
-    _require_finite("particle update", z_new)
-    return SvgdEmState(theta=theta_new, particles=z_new, gamma=gamma)
-
-
-class _Algorithm(NamedTuple):
-    needs_gamma: bool  # the learning-rate algorithms, which carry an SvgdEmState
-    uses_mstep: bool
-    step: Callable  # (state, model, bandwidth, rng, RunConfig) -> next state
-
-
-#: every algorithm by name; a step looks up ``<name>_step`` when called, so run() sees a wrapped one
+#: every algorithm by name: its (theta rule, particle rule)
 ALGORITHMS = {
-    "svgd_em": _Algorithm(True, False, lambda s, m, h, rng, c: svgd_em_step(s, m, h)),
-    "coin_em": _Algorithm(False, False, lambda s, m, h, rng, c: coin_em_step(s, m, h, c.particle_grads_use_new_theta)),
-    "adaptive_coin_em": _Algorithm(
-        False, False,
-        lambda s, m, h, rng, c: adaptive_coin_em_step(s, m, h, c.adaptive_denominator, c.particle_grads_use_new_theta),
-    ),
-    "marginal_svgd_em": _Algorithm(True, True, lambda s, m, h, rng, c: marginal_svgd_em_step(s, m, h)),
-    "marginal_coin_em": _Algorithm(False, True, lambda s, m, h, rng, c: marginal_coin_em_step(s, m, h)),
-    "pgd": _Algorithm(True, False, lambda s, m, h, rng, c: pgd_step(s, m, rng)),
+    "svgd_em": ("gd", "gd"),
+    "coin_em": ("kt", "kt"),
+    "adaptive_coin_em": ("adaptive", "adaptive"),
+    "marginal_svgd_em": ("mstep", "gd"),
+    "marginal_coin_em": ("mstep", "kt"),
+    "pgd": ("gd", "langevin"),
 }
+
+
+def svgd_em_step(state: State, model: Model, h: float | None = None) -> State:
+    return step(state, model, *ALGORITHMS["svgd_em"], h)
+
+
+def coin_em_step(state: State, model: Model, h: float | None = None,
+                 particle_grads_use_new_theta: bool = True) -> State:
+    return step(state, model, *ALGORITHMS["coin_em"], h, particle_grads_use_new_theta=particle_grads_use_new_theta)
+
+
+def adaptive_coin_em_step(state: State, model: Model, h: float | None = None, denominator: str = "standard",
+                          particle_grads_use_new_theta: bool = True) -> State:
+    return step(state, model, *ALGORITHMS["adaptive_coin_em"], h, None, denominator, particle_grads_use_new_theta)
+
+
+def marginal_svgd_em_step(state: State, model: Model, h: float | None = None) -> State:
+    return step(state, model, *ALGORITHMS["marginal_svgd_em"], h)
+
+
+def marginal_coin_em_step(state: State, model: Model, h: float | None = None) -> State:
+    return step(state, model, *ALGORITHMS["marginal_coin_em"], h)
+
+
+def pgd_step(state: State, model: Model, rng: np.random.Generator) -> State:
+    return step(state, model, *ALGORITHMS["pgd"], rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +291,7 @@ def validate_run(algorithm: str, config: RunConfig) -> list[str]:
     problems = []
     if algorithm not in ALGORITHMS:
         problems.append(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
-    elif ALGORITHMS[algorithm].needs_gamma:
+    elif "gd" in ALGORITHMS[algorithm]:  # the learning-rate algorithms
         if config.gamma is None:
             problems.append(f"gamma is required for algorithm {algorithm!r}")
         elif not np.isfinite(config.gamma) or config.gamma <= 0:
@@ -415,8 +317,8 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     :class:`DivergedError` is raised with the partial trace attached.
     """
     problems = validate_run(algorithm, config)
-    spec = ALGORITHMS.get(algorithm)
-    if spec is not None and spec.uses_mstep and type(model).marginal_mstep is Model.marginal_mstep:
+    theta_rule, particle_rule = ALGORITHMS.get(algorithm, (None, None))
+    if theta_rule == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
     if problems:
         raise ConfigError(problems)
@@ -430,20 +332,20 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     else:
         theta0, z0 = model.default_init(config.n_particles, rng)
     if z0.shape[0] != config.n_particles:
-        raise ConfigError(
-            [f"init provides {z0.shape[0]} particles but n_particles = {config.n_particles}"]
-        )
+        raise ConfigError([f"init provides {z0.shape[0]} particles but n_particles = {config.n_particles}"])
 
-    h = config.bandwidth
-    if config.freeze_bandwidth and h is None:
-        h = median_heuristic(z0)
+    h = median_heuristic(z0) if config.freeze_bandwidth and config.bandwidth is None else config.bandwidth
 
-    if spec.uses_mstep:
+    if theta_rule == "mstep":
         theta0 = np.asarray(model.marginal_mstep(z0), dtype=np.float64).ravel()
-    if spec.needs_gamma:
-        state = SvgdEmState(theta=theta0, particles=z0, gamma=float(config.gamma))
-    else:
-        state = BettingState.initial(theta0, z0)
+    state = State.initial(algorithm, theta0, z0, config.gamma)
+    # the public step is looked up here, not bound at import, so a wrapped <name>_step sees every step;
+    # each takes the options of its own rules only
+    step_fn = globals()[f"{algorithm}_step"]
+    args = (rng,) if particle_rule == "langevin" else (h,)
+    options = {"denominator": config.adaptive_denominator} if theta_rule == "adaptive" else {}
+    if theta_rule in ("kt", "adaptive"):
+        options["particle_grads_use_new_theta"] = config.particle_grads_use_new_theta
 
     trace = Trace(initial_particles=z0.copy())
 
@@ -451,19 +353,12 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
         # hooks may overflow to inf on states that are en route to divergence
         with np.errstate(over="ignore", invalid="ignore"):
             metrics = {name: float(hook(theta, particles)) for name, hook in config.metric_hooks.items()}
-        trace.records.append(
-            TraceRecord(
-                iteration=iteration,
-                theta=theta.copy(),
-                particle_mean=particles.mean(axis=0),
-                metrics=metrics,
-            )
-        )
+        trace.records.append(TraceRecord(iteration, theta.copy(), particles.mean(axis=0), metrics))
 
     record(0, state.theta, state.particles)
     for t in range(1, config.n_iters + 1):
         try:
-            state = spec.step(state, model, h, rng, config)
+            state = step_fn(state, model, *args, **options)
         except DivergedError as err:
             trace.final_particles = state.particles.copy()
             raise DivergedError(str(err), iteration=t, trace=trace) from None

@@ -26,7 +26,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import metrics
-from .algorithms import RunConfig, Trace, run
+from .algorithms import Trace, run
 from .config import ExperimentConfig, parse_config
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
 from .exceptions import ConfigError, DivergedError, ParseError
@@ -129,18 +129,7 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
     run_seed = derive_seed(config.seed, 1, config.run_index)
     model, extras = _build_model(config, data_seed)
     hooks = _metric_hooks(config, model, extras)
-    run_config = RunConfig(
-        n_particles=config.particles,
-        n_iters=config.iters,
-        gamma=config.gamma,
-        seed=run_seed,
-        record_every=config.record_every,
-        metric_hooks=hooks,
-        bandwidth=config.bandwidth,
-        freeze_bandwidth=config.freeze_bandwidth,
-        adaptive_denominator=config.adaptive_denominator,
-        particle_grads_use_new_theta=config.particle_grads_use_new_theta,
-    )
+    run_config = config.run_config(seed=run_seed, metric_hooks=hooks)
     info = {
         "master_seed": config.seed,
         "run_seed": run_seed,

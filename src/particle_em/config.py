@@ -72,12 +72,20 @@ class ExperimentConfig:
     def resolved_name(self) -> str:
         return self.name or f"{self.model}_{self.algorithm}"
 
+    def run_config(self, **overrides) -> RunConfig:
+        """The optimizer settings as a RunConfig; ``overrides`` (seed, metric_hooks, ...) win."""
+        settings = {name: getattr(self, name) for name in _RUN_FIELDS}
+        return RunConfig(n_particles=self.particles, n_iters=self.iters, **{**settings, **overrides})
+
 
 _INT_KEYS = {"particles", "iters", "seed", "run_index", "record_every", "toy_dim", "embed_dim"}
 _FLOAT_KEYS = {"gamma", "bandwidth", "theta_true", "test_fraction", "prior_var", "prior_var_z"}
 _BOOL_KEYS = {"freeze_bandwidth", "particle_grads_use_new_theta"}
 _LIST_KEYS = {"sweep_values"}
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
+#: the optimizer settings that RunConfig holds under the same name
+_RUN_FIELDS = ("gamma", "record_every", "bandwidth", "freeze_bandwidth", "adaptive_denominator",
+               "particle_grads_use_new_theta")
 
 
 def _convert(key: str, raw: str):
@@ -154,16 +162,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     problems: list[str] = []
     if config.model not in MODELS:
         problems.append(f"model must be one of {MODELS}, got {config.model!r}")
-    run_config = RunConfig(
-        n_particles=config.particles,
-        n_iters=config.iters,
-        # a gamma sweep runs every grid value as gamma; the first stands in for all here
-        gamma=config.sweep_values[0] if config.sweep_param == "gamma" and config.sweep_values else config.gamma,
-        record_every=config.record_every,
-        bandwidth=config.bandwidth,
-        adaptive_denominator=config.adaptive_denominator,
-    )
-    problems.extend(validate_run(config.algorithm, run_config))
+    # a gamma sweep runs every grid value as gamma; the first stands in for all here
+    overrides = {"gamma": config.sweep_values[0]} if config.sweep_param == "gamma" and config.sweep_values else {}
+    problems.extend(validate_run(config.algorithm, config.run_config(**overrides)))
     if config.run_index < 0:
         problems.append(f"run_index must be >= 0, got {config.run_index}")
     if not 0.0 < config.test_fraction < 1.0:
@@ -180,15 +181,21 @@ def validate(config: ExperimentConfig) -> list[str]:
             problems.append(f"sweep_values must all be finite and positive, got {bad}")
         elif config.sweep_param == "particles" and any(v != int(v) for v in config.sweep_values):
             problems.append("sweep over particles requires integer values")
-    if config.model == "toy" and config.toy_dim < 1:
-        problems.append(f"toy_dim must be >= 1, got {config.toy_dim}")
-    if config.model == "logreg" and not config.data_path:
-        problems.append("logreg model requires data_path")
+    if config.model == "toy":
+        if config.toy_dim < 1:
+            problems.append(f"toy_dim must be >= 1, got {config.toy_dim}")
+        if not math.isfinite(config.theta_true):
+            problems.append(f"theta_true must be finite, got {config.theta_true}")
+    if config.model == "logreg":
+        if not config.data_path:
+            problems.append("logreg model requires data_path")
+        if not (math.isfinite(config.prior_var) and config.prior_var > 0):
+            problems.append(f"prior_var must be a finite positive number, got {config.prior_var}")
     if config.model == "network":
         if not config.edgelist_path:
             problems.append("network model requires edgelist_path")
         if config.embed_dim < 1:
             problems.append(f"embed_dim must be >= 1, got {config.embed_dim}")
-        if config.prior_var_z <= 0:
+        if not config.prior_var_z > 0:  # also false for nan
             problems.append(f"prior_var_z must be positive (or inf), got {config.prior_var_z}")
     return problems

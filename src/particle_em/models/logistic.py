@@ -36,7 +36,7 @@ class BayesianLogisticRegression(Model):
             raise ValueError(f"y must have length {X.shape[0]}, got shape {y.shape}")
         if y.size and not np.all(np.isin(y, (0, 1))):
             raise ValueError("labels must be 0 or 1")
-        if prior_var <= 0:
+        if not prior_var > 0:
             raise ValueError(f"prior_var must be positive, got {prior_var}")
         self.X = X
         self.y = y.astype(np.float64)

@@ -40,7 +40,7 @@ class LatentSpaceNetworkModel(Model):
             raise ValueError("adjacency entries must be 0 or 1")
         if embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
-        if prior_var_z <= 0:
+        if not prior_var_z > 0:
             raise ValueError(f"prior_var_z must be positive (or inf), got {prior_var_z}")
         if link_sign not in (-1.0, 1.0):
             raise ValueError(f"link_sign must be -1 or +1, got {link_sign}")

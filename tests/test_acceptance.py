@@ -28,7 +28,7 @@ from particle_em import (
     RunConfig,
     run,
 )
-from particle_em.algorithms import BettingState, adaptive_coin_em_step, coin_em_step
+from particle_em.algorithms import State, adaptive_coin_em_step, coin_em_step
 from particle_em.cli import main, run_sweep
 from particle_em.config import parse_config
 from particle_em.data import generate_toy_data, load_csv, train_test_split
@@ -283,14 +283,14 @@ def test_c07_stein_direction_oracle():
 
 
 def test_c08_betting_hand_sequences():
-    state = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+    state = State.initial("coin_em", np.zeros(1), np.zeros((1, 1)))
     sequence = [float(state.theta[0])]
     for _ in range(3):
         state = coin_em_step(state, ConstantGradientModel(1.0))
         sequence.append(float(state.theta[0]))
     exact_plain = sequence == [0.0, 0.5, 1.0, 1.875]
 
-    adaptive = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+    adaptive = State.initial("adaptive_coin_em", np.zeros(1), np.zeros((1, 1)))
     adaptive_seq = []
     for _ in range(2):
         adaptive = adaptive_coin_em_step(adaptive, ConstantGradientModel(1.0))

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from particle_em.algorithms import (
-    BettingState,
+    ALGORITHMS,
+    KT,
     RunConfig,
-    SvgdEmState,
+    Scale,
+    State,
     adaptive_coin_em_step,
     coin_em_step,
     marginal_coin_em_step,
@@ -43,14 +47,14 @@ class TestSvgdEmStep:
     def test_hand_computed_single_step(self):
         # theta: 0 -> 0.1; particle: 1 -> 1 + 0.1 * ((0.1 - 1) + (1 - 1)) = 0.91
         m = GaussianHierarchicalModel([1.0])
-        s = SvgdEmState(theta=np.array([0.0]), particles=np.array([[1.0]]), gamma=0.1)
+        s = State(theta=np.array([0.0]), particles=np.array([[1.0]]), gamma=0.1)
         s2 = svgd_em_step(s, m)
         assert s2.theta[0] == pytest.approx(0.1, rel=1e-15)
         assert s2.particles[0, 0] == pytest.approx(0.91, rel=1e-14)
 
     def test_zero_learning_rate_is_identity(self):
         m = toy_model()
-        s = SvgdEmState(theta=np.array([0.4]), particles=np.ones((3, 4)), gamma=0.0)
+        s = State(theta=np.array([0.4]), particles=np.ones((3, 4)), gamma=0.0)
         s2 = svgd_em_step(s, m)
         np.testing.assert_array_equal(s2.theta, s.theta)
         np.testing.assert_array_equal(s2.particles, s.particles)
@@ -58,12 +62,12 @@ class TestSvgdEmStep:
     def test_theta_fixed_when_gradient_zero(self):
         m = GaussianHierarchicalModel([2.0])
         z = np.array([[1.3]])
-        s = SvgdEmState(theta=np.array([1.3]), particles=z, gamma=0.05)
+        s = State(theta=np.array([1.3]), particles=z, gamma=0.05)
         assert svgd_em_step(s, m).theta[0] == 1.3
 
     def test_step_is_pure(self):
         m = toy_model()
-        s = SvgdEmState(theta=np.array([0.1]), particles=np.ones((3, 4)), gamma=0.02)
+        s = State(theta=np.array([0.1]), particles=np.ones((3, 4)), gamma=0.02)
         a = svgd_em_step(s, m)
         b = svgd_em_step(s, m)
         np.testing.assert_array_equal(a.theta, b.theta)
@@ -73,7 +77,7 @@ class TestSvgdEmStep:
 
 class TestCoinEmStep:
     def test_zero_gradient_keeps_initialization(self):
-        s = BettingState.initial(np.array([0.7]), np.full((2, 1), 0.2))
+        s = State.initial("coin_em", np.array([0.7]), np.full((2, 1), 0.2))
         for _ in range(5):
             s = coin_em_step(s, ZeroGradientModel())
         assert s.theta[0] == 0.7
@@ -81,7 +85,7 @@ class TestCoinEmStep:
 
     def test_kt_hand_sequence_exact(self):
         # constant unit gradients from theta0 = 0: 0, 0.5, 1.0, 1.875
-        s = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        s = State.initial("coin_em", np.zeros(1), np.zeros((1, 1)))
         seq = [s.theta[0]]
         for _ in range(3):
             s = coin_em_step(s, ConstantGradientModel(1.0))
@@ -91,7 +95,7 @@ class TestCoinEmStep:
     def test_accumulators_match_replayed_history(self):
         m = toy_model(d_z=2)
         rng = np.random.default_rng(0)
-        s = BettingState.initial(rng.normal(size=1), rng.normal(size=(4, 2)))
+        s = State.initial("coin_em", rng.normal(size=1), rng.normal(size=(4, 2)))
         states = [s]
         for _ in range(10):
             states.append(coin_em_step(states[-1], m))
@@ -109,16 +113,16 @@ class TestCoinEmStep:
             phi = stein_direction(prev.particles, m.grad_z(cur.theta, prev.particles), h)
             sum_z = sum_z + phi
             reward_z = reward_z + np.einsum("ij,ij->i", phi, prev.particles - s.z0)
-        np.testing.assert_array_equal(final.sum_grad_theta, sum_g)
-        assert final.reward_theta == reward
-        np.testing.assert_array_equal(final.sum_grad_z, sum_z)
-        np.testing.assert_array_equal(final.reward_z, reward_z)
+        np.testing.assert_array_equal(final.theta_acc.csum, sum_g)
+        assert final.theta_acc.reward == reward
+        np.testing.assert_array_equal(final.particle_acc.csum, sum_z)
+        np.testing.assert_array_equal(final.particle_acc.reward, reward_z)
         assert final.t == 10
 
     def test_ordering_flag_changes_particle_gradients(self):
         m = toy_model(d_z=3)
         rng = np.random.default_rng(1)
-        s = BettingState.initial(rng.normal(size=1), rng.normal(size=(3, 3)))
+        s = State.initial("coin_em", rng.normal(size=1), rng.normal(size=(3, 3)))
         new_theta = coin_em_step(s, m, particle_grads_use_new_theta=True)
         old_theta = coin_em_step(s, m, particle_grads_use_new_theta=False)
         np.testing.assert_array_equal(new_theta.theta, old_theta.theta)
@@ -128,7 +132,7 @@ class TestCoinEmStep:
         # the betting precondition needs |c| <= 1; large toy gradients break it
         m = toy_model(d_z=100, seed=0)
         rng = np.random.default_rng(100)
-        s = BettingState.initial(*m.default_init(10, rng))
+        s = State.initial("coin_em", *m.default_init(10, rng))
         with pytest.raises(DivergedError):
             for _ in range(500):
                 s = coin_em_step(s, m)
@@ -136,49 +140,54 @@ class TestCoinEmStep:
 
 class TestAdaptiveCoinEmStep:
     def test_hand_sequence_first_two_iterates(self):
-        s = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        s = State.initial("adaptive_coin_em", np.zeros(1), np.zeros((1, 1)))
         s = adaptive_coin_em_step(s, ConstantGradientModel(1.0))
         first = s.theta[0]
         s = adaptive_coin_em_step(s, ConstantGradientModel(1.0))
         assert (first, s.theta[0]) == (0.5, 1.0)
 
     def test_zero_gradients_fixed_forever(self):
-        s = BettingState.initial(np.array([0.3]), np.full((3, 2), -0.1))
+        s = State.initial("adaptive_coin_em", np.array([0.3]), np.full((3, 2), -0.1))
         for _ in range(4):
             s = adaptive_coin_em_step(s, ZeroGradientModel(d_z=2))
         assert s.theta[0] == 0.3
         np.testing.assert_array_equal(s.particles, np.full((3, 2), -0.1))
-        np.testing.assert_array_equal(s.L_theta, np.zeros(1))
+        np.testing.assert_array_equal(s.theta_acc.L, np.zeros(1))
 
     @pytest.mark.parametrize("scale", [0.1, 10.0])
     def test_first_iterate_scale_invariance(self, scale):
-        base = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        base = State.initial("adaptive_coin_em", np.zeros(1), np.zeros((1, 1)))
         plain = adaptive_coin_em_step(base, ConstantGradientModel(0.7))
         scaled = adaptive_coin_em_step(base, ConstantGradientModel(0.7 * scale))
         assert plain.theta[0] == pytest.approx(scaled.theta[0], rel=1e-14)
 
     def test_bnn_denominator_shrinks_first_step(self):
-        base = BettingState.initial(np.zeros(1), np.zeros((1, 1)))
+        base = State.initial("adaptive_coin_em", np.zeros(1), np.zeros((1, 1)))
         standard = adaptive_coin_em_step(base, ConstantGradientModel(1.0), denominator="standard")
         bnn = adaptive_coin_em_step(base, ConstantGradientModel(1.0), denominator="bnn")
         # first step: D = max(G + L, 100 L) = 100 L, so theta = 1/100
         assert bnn.theta[0] == pytest.approx(0.01, rel=1e-15)
         assert abs(bnn.theta[0]) < abs(standard.theta[0])
 
+    def test_bad_denominator_rejected(self):
+        base = State.initial("adaptive_coin_em", np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="denominator must be 'standard' or 'bnn', got 'nope'"):
+            adaptive_coin_em_step(base, ConstantGradientModel(1.0), denominator="nope")
+
     def test_scale_monotonicity_and_reward_sign(self):
         m = toy_model(d_z=3)
         rng = np.random.default_rng(2)
-        s = BettingState.initial(rng.normal(size=1), rng.normal(size=(4, 3)))
+        s = State.initial("adaptive_coin_em", rng.normal(size=1), rng.normal(size=(4, 3)))
         prev = s
         for _ in range(20):
             cur = adaptive_coin_em_step(prev, m)
-            assert np.all(cur.L_theta >= prev.L_theta)
-            assert np.all(cur.G_theta >= prev.G_theta)
-            assert np.all(cur.L_z >= prev.L_z)
-            assert np.all(cur.G_z >= prev.G_z)
-            assert np.all(cur.R_theta >= 0.0) and np.all(cur.R_z >= 0.0)
+            assert np.all(cur.theta_acc.L >= prev.theta_acc.L)
+            assert np.all(cur.theta_acc.G >= prev.theta_acc.G)
+            assert np.all(cur.particle_acc.L >= prev.particle_acc.L)
+            assert np.all(cur.particle_acc.G >= prev.particle_acc.G)
+            assert np.all(cur.theta_acc.R >= 0.0) and np.all(cur.particle_acc.R >= 0.0)
             g = m.mean_grad_theta(prev.theta, prev.particles)
-            assert np.all(np.abs(g) <= cur.L_theta)
+            assert np.all(np.abs(g) <= cur.theta_acc.L)
             prev = cur
 
 
@@ -205,7 +214,7 @@ class TestBettingInvariants:
         L, G, R = np.zeros_like(x0), np.zeros_like(x0), np.zeros_like(x0)
         seen = np.zeros(x0.shape, dtype=bool)
         for c in stream:
-            x, csum, L_new, G_new, R = _adaptive_update(x0, x, csum, c, L, G, R, denominator)
+            x, (csum, L_new, G_new, R) = _adaptive_update(x0, x, c, Scale(csum, L, G, R), denominator)
             assert np.all(L_new >= L) and np.all(G_new >= G)
             assert np.all(R >= 0.0)
             L, G = L_new, G_new
@@ -229,7 +238,7 @@ class TestBettingInvariants:
         terms = []
         for t, c in enumerate(stream):
             terms.append(np.einsum("...i,...i->...", c, x - x0))
-            x, csum, reward = _kt(x0, x, c, csum, reward, t)
+            x, (csum, reward) = _kt(x0, x, c, KT(csum, reward), t)
             history = np.reshape(terms, (t + 1, -1))
             expected = np.array([math.fsum(col) for col in history.T])
             scale = np.sum(np.abs(history), axis=0)
@@ -246,7 +255,7 @@ class TestMarginalSteps:
     def test_theta_equals_grand_particle_mean(self):
         m = toy_model(d_z=3)
         rng = np.random.default_rng(3)
-        s = SvgdEmState(theta=np.array([99.0]), particles=rng.normal(size=(5, 3)), gamma=0.1)
+        s = State(theta=np.array([99.0]), particles=rng.normal(size=(5, 3)), gamma=0.1)
         for _ in range(5):
             s = marginal_svgd_em_step(s, m)
             assert s.theta[0] == s.particles.mean()
@@ -254,7 +263,7 @@ class TestMarginalSteps:
     def test_zero_learning_rate_still_refreshes_theta(self):
         m = toy_model(d_z=2)
         z = np.random.default_rng(4).normal(size=(3, 2))
-        s = SvgdEmState(theta=np.array([50.0]), particles=z, gamma=0.0)
+        s = State(theta=np.array([50.0]), particles=z, gamma=0.0)
         s2 = marginal_svgd_em_step(s, m)
         assert s2.theta[0] == z.mean()
         np.testing.assert_array_equal(s2.particles, z)
@@ -263,21 +272,21 @@ class TestMarginalSteps:
         m = toy_model(d_z=3, seed=11)
         x_bar = m.x.mean()
         z = np.full((1, 3), x_bar)
-        s = SvgdEmState(theta=np.array([0.0]), particles=z, gamma=0.05)
+        s = State(theta=np.array([0.0]), particles=z, gamma=0.05)
         for _ in range(3):
             s = marginal_svgd_em_step(s, m)
             assert s.theta[0] == pytest.approx(s.particles.mean(), abs=1e-15)
 
     def test_missing_mstep_raises(self):
         m = BayesianLogisticRegression(np.zeros((2, 2)), np.array([0, 1]))
-        s = SvgdEmState(theta=np.zeros(1), particles=np.zeros((2, 2)), gamma=0.1)
+        s = State(theta=np.zeros(1), particles=np.zeros((2, 2)), gamma=0.1)
         with pytest.raises(MissingMStepError):
             marginal_svgd_em_step(s, m)
 
     def test_marginal_coin_accumulator_replay(self):
         m = toy_model(d_z=2)
         rng = np.random.default_rng(5)
-        s0 = BettingState.initial(m.marginal_mstep(rng.normal(size=(4, 2))), rng.normal(size=(4, 2)))
+        s0 = State.initial("marginal_coin_em", m.marginal_mstep(rng.normal(size=(4, 2))), rng.normal(size=(4, 2)))
         states = [s0]
         for _ in range(8):
             states.append(marginal_coin_em_step(states[-1], m))
@@ -291,16 +300,16 @@ class TestMarginalSteps:
             phi = stein_direction(prev.particles, m.grad_z(theta_used, prev.particles), h)
             sum_z = sum_z + phi
             reward_z = reward_z + np.einsum("ij,ij->i", phi, prev.particles - s0.z0)
-        np.testing.assert_array_equal(final.sum_grad_z, sum_z)
-        np.testing.assert_array_equal(final.reward_z, reward_z)
-        np.testing.assert_array_equal(final.sum_grad_theta, np.zeros(1))
+        np.testing.assert_array_equal(final.particle_acc.csum, sum_z)
+        np.testing.assert_array_equal(final.particle_acc.reward, reward_z)
+        assert final.theta_acc is None  # the M-step keeps no theta-side sums
         assert final.theta[0] == final.particles.mean()
 
 
 class TestPgdStep:
     def test_zero_learning_rate_is_identity(self):
         m = toy_model()
-        s = SvgdEmState(theta=np.array([0.2]), particles=np.ones((3, 4)), gamma=0.0)
+        s = State(theta=np.array([0.2]), particles=np.ones((3, 4)), gamma=0.0)
         s2 = pgd_step(s, m, np.random.default_rng(0))
         np.testing.assert_array_equal(s2.theta, s.theta)
         np.testing.assert_array_equal(s2.particles, s.particles)
@@ -308,7 +317,7 @@ class TestPgdStep:
     def test_noise_variance_matches_discretization(self):
         # increments under zero gradients have per-coordinate variance 2 * gamma
         gamma = 0.3
-        s = SvgdEmState(theta=np.zeros(1), particles=np.zeros((1000, 100)), gamma=gamma)
+        s = State(theta=np.zeros(1), particles=np.zeros((1000, 100)), gamma=gamma)
         s2 = pgd_step(s, ZeroGradientModel(d_z=100), np.random.default_rng(6))
         empirical = s2.particles.var()
         assert empirical == pytest.approx(2 * gamma, rel=0.05)
@@ -318,14 +327,14 @@ class TestPgdStep:
         rng = np.random.default_rng(7)
         theta = rng.normal(size=1)
         z = rng.normal(size=(4, 3))
-        s = SvgdEmState(theta=theta, particles=z, gamma=0.05)
+        s = State(theta=theta, particles=z, gamma=0.05)
         s2 = pgd_step(s, m, ZeroNoise())
         np.testing.assert_allclose(s2.theta, theta + 0.05 * m.mean_grad_theta(theta, z), rtol=1e-15)
         np.testing.assert_allclose(s2.particles, z + 0.05 * m.grad_z(theta, z), rtol=1e-15)
 
     def test_same_generator_state_gives_identical_step(self):
         m = toy_model()
-        s = SvgdEmState(theta=np.zeros(1), particles=np.ones((3, 4)), gamma=0.01)
+        s = State(theta=np.zeros(1), particles=np.ones((3, 4)), gamma=0.01)
         a = pgd_step(s, m, np.random.default_rng(8))
         b = pgd_step(s, m, np.random.default_rng(8))
         np.testing.assert_array_equal(a.particles, b.particles)
@@ -399,6 +408,19 @@ class TestRunLoop:
         gamma = 0.01 if algorithm in ("svgd_em", "marginal_svgd_em", "pgd") else None
         run(algorithm, toy_model(), RunConfig(n_particles=3, n_iters=4, gamma=gamma, seed=0))
         assert len(calls) == 4
+
+    def test_benchmark_span_targets_exist(self):
+        # the benchmark's tracer silently skips a missing attribute, which would zero its per-layer rows
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "spans.py")
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        targets = [(module, attr) for module, attr, _ in spans.MODULE_TARGETS]
+        missing = [t for t in targets if not hasattr(importlib.import_module(f"particle_em.{t[0]}"), t[1])]
+        assert missing == []
+        assert {attr for module, attr in targets if module == "algorithms" and attr.endswith("_step")} == {
+            f"{name}_step" for name in ALGORITHMS
+        }
 
     def test_divergence_carries_iteration_and_partial_trace(self):
         m = toy_model(d_z=100, seed=0)

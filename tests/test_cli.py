@@ -1,14 +1,23 @@
 import csv
+import glob
 import json
+import math
 import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from particle_em import cli
+from particle_em.algorithms import RunConfig, Trace, TraceRecord
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
 from particle_em.config import ExperimentConfig, parse_config
 from particle_em.exceptions import ConfigError
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -150,6 +159,51 @@ class TestRunCommand:
         for row in rows:
             value = float(row["value"])
             assert repr(value) == row["value"]
+
+    @pytest.mark.parametrize("model,key,value,message", [
+        ("logreg", "prior_var", "-1", "prior_var must be a finite positive number, got -1.0"),
+        ("logreg", "prior_var", "nan", "prior_var must be a finite positive number, got nan"),
+        ("toy", "theta_true", "nan", "theta_true must be finite, got nan"),
+        ("network", "prior_var_z", "nan", "prior_var_z must be positive (or inf), got nan"),
+    ], ids=["prior_var=-1", "prior_var=nan", "theta_true=nan", "prior_var_z=nan"])
+    def test_bad_model_number_exit_code(self, tmp_path, capsys, model, key, value, message):
+        data = tmp_path / "data.txt"
+        if model == "logreg":
+            data.write_text("x0,label\n0.5,1\n-0.5,0\n1.5,1\n-1.5,0\n0.2,0\n", encoding="utf-8")
+        else:
+            data.write_text("a b\nb c\nc a\n", encoding="utf-8")
+        text = (
+            f"model = {model}\nalgorithm = adaptive_coin_em\nparticles = 2\niters = 3\n"
+            f"data_path = {data}\nedgelist_path = {data}\n{key} = {value}\n"
+        )
+        out = tmp_path / "runs"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(st.data())
+    def test_trace_csv_round_trip(self, data):
+        # any name the CLI's csv writer quotes or leaves bare; a lone carriage return is neither quoted
+        # under the writer's "\n" line terminator nor ever part of a CLI metric name
+        chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+        names = data.draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=4, unique=True))
+        iterations = sorted(data.draw(st.sets(st.integers(0, 10**9), min_size=1, max_size=5)))
+        special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.2250738585072014e-308])
+        values = special | st.floats(allow_nan=False)
+        trace = Trace(records=[
+            TraceRecord(it, np.zeros(1), np.zeros(1), {name: data.draw(values) for name in names})
+            for it in iterations
+        ])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            cli._write_trace_csv(path, trace)
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+        assert header == ["iteration", "metric", "value"]
+        expected = [(rec.iteration, name, value) for rec in trace.records for name, value in rec.metrics.items()]
+        assert [(int(it), name) for it, name, _ in rows] == [(it, name) for it, name, _ in expected]
+        # bit-identical, -0.0, subnormals and the infinities included; nan is the one nan the CSV can spell
+        assert [np.float64(float(v)).tobytes() for _, _, v in rows] == [np.float64(v).tobytes() for *_, v in expected]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, TOY_CFG), "--gamma", "0.1"])
@@ -376,6 +430,41 @@ class TestLogregPipeline:
         assert errors and all(0.0 <= e <= 1.0 for e in errors)
         # training should not make the predictor worse than chance
         assert errors[-1] <= 0.5
+
+
+def test_run_config_carries_every_optimizer_setting():
+    cfg = ExperimentConfig(
+        model="toy", algorithm="svgd_em", particles=7, iters=3, gamma=0.3, seed=99, record_every=2,
+        bandwidth=0.5, freeze_bandwidth=True, adaptive_denominator="bnn", particle_grads_use_new_theta=False,
+    )
+    run_config = cfg.run_config()
+    default = RunConfig()
+    changed = {f.name for f in fields(RunConfig) if getattr(run_config, f.name) != getattr(default, f.name)}
+    # every RunConfig field but the per-run ones comes from the experiment config
+    assert changed == {f.name for f in fields(RunConfig)} - {"seed", "init", "metric_hooks"}
+    hooks = {"theta": lambda th, Z: 0.0}
+    overridden = cfg.run_config(seed=5, metric_hooks=hooks, gamma=0.01)
+    assert (overridden.seed, overridden.metric_hooks, overridden.gamma) == (5, hooks, 0.01)
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_parses(path):
+    assert parse_config(path).model in ("toy", "logreg", "network")
+
+
+@pytest.mark.parametrize("command,name", [
+    ("run", "toy_coin.cfg"), ("sweep", "toy_pgd_sweep.cfg"), ("run", "network_coin.cfg"),
+])
+def test_shipped_config_runs(command, name, tmp_path, monkeypatch):
+    # data paths in the shipped configs are relative to the repository root
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    out = tmp_path / "runs"
+    assert main([command, "--config", os.path.join("configs", name), "--iters", "5", "--out", str(out)]) == 0
+    assert list(out.glob("*.csv"))
 
 
 def test_experiment_config_resolved_name():

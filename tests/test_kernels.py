@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from particle_em import algorithms, kernels
-from particle_em.algorithms import BettingState, SvgdEmState
+from particle_em.algorithms import State
 from particle_em.kernels import (
     median_heuristic,
     pairwise_sq_dists,
@@ -232,8 +232,8 @@ class TestSharedDistances:
         z = np.random.default_rng(9).standard_normal((6, 2))
         theta = np.zeros(1)
         if algorithm in ("svgd_em", "marginal_svgd_em", "pgd"):
-            return SvgdEmState(theta=theta, particles=z, gamma=0.1), model
-        return BettingState.initial(theta, z), model
+            return State(theta=theta, particles=z, gamma=0.1), model
+        return State.initial(algorithm, theta, z), model
 
     @pytest.mark.parametrize("h", [None, 0.7])
     @pytest.mark.parametrize(
