@@ -25,7 +25,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import metrics
+from . import __version__, metrics
 from .algorithms import Trace, run
 from .config import ExperimentConfig, parse_config
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
@@ -104,6 +104,10 @@ def _summary_metric_name(config: ExperimentConfig, recorded: dict[str, float]) -
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
+    # csv quotes a field for "\n" but not for a bare "\r", which a reader then takes for a line end
+    bad = sorted(name for name in set().union(*(rec.metrics for rec in trace.records)) if "\r" in name)
+    if bad:
+        raise ValueError(f"metric name {bad[0]!r} contains a carriage return; the trace CSV cannot hold it")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "metric", "value"])
@@ -136,6 +140,8 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
         "data_seed": data_seed,
         "diverged": False,
         "diverged_at": None,
+        # trace bytes are reproducible for the same package version and numpy/BLAS build
+        "versions": {"particle_em": __version__, "numpy": np.__version__},
     }
     if extras.get("node_labels"):
         info["node_labels"] = extras["node_labels"]

@@ -2,8 +2,9 @@
 
 The scalar parameter theta is the shared prior mean of the regression weights;
 the prior variance v defaults to 5. Labels are Bernoulli with success
-probability sigmoid(x_i^T z). All sigmoid/softplus evaluations go through
-log-sum-exp forms, so gradients stay finite for |x_i^T z| up to at least 1e3.
+probability sigmoid(x_i^T z). The sigmoid takes exp only of -|x_i^T z| and
+softplus goes through log-sum-exp, so neither overflows and gradients stay
+finite for |x_i^T z| up to at least 1e3.
 """
 
 from __future__ import annotations
@@ -16,8 +17,20 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function exp(-softplus(-u))."""
-    return np.exp(-np.logaddexp(0.0, -np.asarray(u, dtype=np.float64)))
+    """Logistic function 1 / (1 + exp(-u)), within 2 ulp of the exact value.
+
+    With e = exp(-|u|) in [0, 1] it is 1 / (1 + e) for u >= 0 and e / (1 + e)
+    for u < 0, so exp never overflows: exactly 0.5 at +-0, 1 at +inf, 0 at
+    -inf and nan at nan. A Python or 0-d input gives a numpy scalar.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    e = np.abs(u, out=np.empty_like(u))  # an array of its own, 0-d included, for the in-place steps
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(u >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p if p.ndim else p[()]
 
 
 def softplus(u: np.ndarray) -> np.ndarray:

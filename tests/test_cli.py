@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import particle_em
 from particle_em import cli
 from particle_em.algorithms import RunConfig, Trace, TraceRecord
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
@@ -135,6 +136,12 @@ class TestRunCommand:
         assert sidecar["diverged"] is False
         assert isinstance(sidecar["final_theta"][0], float)
 
+    def test_sidecar_records_versions(self, tmp_path):
+        out = tmp_path / "runs"
+        assert main(["run", "--config", write_config(tmp_path, TOY_CFG), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "toy_adaptive_coin_em.json").read_text())
+        assert sidecar["versions"] == {"particle_em": particle_em.__version__, "numpy": np.__version__}
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, TOY_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -183,10 +190,14 @@ class TestRunCommand:
 
     @given(st.data())
     def test_trace_csv_round_trip(self, data):
-        # any name the CLI's csv writer quotes or leaves bare; a lone carriage return is neither quoted
-        # under the writer's "\n" line terminator nor ever part of a CLI metric name
-        chars = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")
+        # any name the CLI's csv writer quotes or leaves bare; a carriage return, which the writer would
+        # leave unquoted under its "\n" line terminator, is refused before the file is opened
+        chars = st.characters(blacklist_categories=("Cs",))
         names = data.draw(st.lists(st.text(chars, max_size=6), min_size=1, max_size=4, unique=True))
+        if data.draw(st.booleans()):  # about half the examples put a carriage return into one name
+            k = data.draw(st.integers(0, len(names) - 1))
+            cut = data.draw(st.integers(0, len(names[k])))
+            names[k] = names[k][:cut] + "\r" + names[k][cut:]
         iterations = sorted(data.draw(st.sets(st.integers(0, 10**9), min_size=1, max_size=5)))
         special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.2250738585072014e-308])
         values = special | st.floats(allow_nan=False)
@@ -196,6 +207,12 @@ class TestRunCommand:
         ])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.csv")
+            if any("\r" in name for name in names):
+                with pytest.raises(ValueError, match="carriage return") as err:
+                    cli._write_trace_csv(path, trace)
+                assert repr(min(name for name in names if "\r" in name)) in str(err.value)
+                assert not os.path.exists(path)
+                return
             cli._write_trace_csv(path, trace)
             with open(path, newline="", encoding="utf-8") as fh:
                 header, *rows = list(csv.reader(fh))

@@ -1,3 +1,5 @@
+import decimal
+import math
 import tracemalloc
 
 import numpy as np
@@ -162,6 +164,51 @@ class TestLogisticRegression:
         with pytest.raises(ValueError):
             logreg.predict(np.zeros((2, 3)), np.zeros((4, 5)))
 
+
+
+def _ulp_errors(u, got):
+    """|got - sigmoid(u)| in units in the last place of the exact value (60-digit decimal)."""
+    errors = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for x, y in zip(u.tolist(), got.tolist()):
+            exact = 1 / (1 + (-decimal.Decimal(x)).exp())
+            below = float(exact)
+            if decimal.Decimal(below) > exact:
+                below = math.nextafter(below, 0.0)
+            # the spacing of the binade holding the exact value; subnormals included
+            errors.append(float(abs(decimal.Decimal(y) - exact) / decimal.Decimal(math.ulp(below))))
+    return np.array(errors)
+
+
+class TestSigmoid:
+    def test_within_two_ulp(self):
+        rng = np.random.default_rng(21)
+        u = np.concatenate([
+            np.linspace(-745.0, 745.0, 6001),  # the whole range where the value is not 0 or 1 in double
+            np.linspace(-745.0, -700.0, 451),  # the subnormal tail
+            rng.standard_normal(1000),
+            rng.standard_normal(1000) * 20.0,
+        ])
+        errors = _ulp_errors(u, sigmoid(u))
+        assert errors.max() <= 2.0, (u[errors.argmax()], errors.max())
+
+    def test_special_values(self):
+        got = sigmoid(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        np.testing.assert_array_equal(got[:4], [0.5, 0.5, 1.0, 0.0])
+        assert np.isnan(got[4])
+
+    @pytest.mark.parametrize("u", [0.3, -2, np.float64(-0.3), np.array(1.5)], ids=["float", "int", "float64", "0-d"])
+    def test_scalar_input_gives_numpy_scalar(self, u):
+        got = sigmoid(u)
+        assert type(got) is np.float64
+        assert got == sigmoid(np.array([u], dtype=np.float64))[0]
+
+    def test_array_keeps_shape(self):
+        u = np.arange(-3, 3).reshape(2, 3)
+        got = sigmoid(u)
+        assert got.shape == (2, 3) and got.dtype == np.float64
+        np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-u)), rtol=1e-15)
 
 class TestLatentSpaceNetwork:
     def test_grad_theta_single_pair_coincident(self):
