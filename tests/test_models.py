@@ -165,7 +165,6 @@ class TestLogisticRegression:
             logreg.predict(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
-
 def _ulp_errors(u, got):
     """|got - sigmoid(u)| in units in the last place of the exact value (60-digit decimal)."""
     errors = []
@@ -185,7 +184,7 @@ class TestSigmoid:
     def test_within_two_ulp(self):
         rng = np.random.default_rng(21)
         u = np.concatenate([
-            np.linspace(-745.0, 745.0, 6001),  # the whole range where the value is not 0 or 1 in double
+            np.linspace(-745.0, 745.0, 6001),  # exp(-|u|) underflows to 0 beyond 745
             np.linspace(-745.0, -700.0, 451),  # the subnormal tail
             rng.standard_normal(1000),
             rng.standard_normal(1000) * 20.0,
@@ -209,6 +208,7 @@ class TestSigmoid:
         got = sigmoid(u)
         assert got.shape == (2, 3) and got.dtype == np.float64
         np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-u)), rtol=1e-15)
+
 
 class TestLatentSpaceNetwork:
     def test_grad_theta_single_pair_coincident(self):

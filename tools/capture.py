@@ -82,24 +82,20 @@ def _synthetic_logreg_csv(path: Path, label_column: str, positive_label: str) ->
             writer.writerow([repr(float(v)) for v in row] + [positive_label if pos else "0"])
 
 
-def _config_keys(path: Path) -> dict[str, str]:
-    pairs = (line.split("=", 1) for line in path.read_text(encoding="utf-8").splitlines()
-             if "=" in line and not line.lstrip().startswith("#"))
-    return {k.strip(): v.strip() for k, v in pairs}
-
-
 def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
+    from particle_em.config import read_config_file
+
     commands = {"c10": list(C10)}
     for cfg in sorted(Path("configs").glob("*.cfg")):
         args = ["run", "--config", str(cfg)]
-        keys = _config_keys(cfg)
+        keys = read_config_file(str(cfg))
         if keys.get("model") == "logreg":
             data = out / f"{cfg.stem}-data.csv"
             _synthetic_logreg_csv(data, keys.get("label_column", "label"), keys.get("positive_label", "1"))
             args += ["--data-path", str(data)]
         commands[cfg.stem] = args
     extra = ["--iters", "5"] if tiny else []
-    return {label: args + extra + ["--out", str(out / label)] for label, args in commands.items()}
+    return {label: args + extra + ["--out", str(out / "cli" / label)] for label, args in commands.items()}
 
 
 def emit(out: Path, tiny: bool) -> None:
@@ -136,8 +132,8 @@ def emit(out: Path, tiny: bool) -> None:
 
     os.environ["PARTICLE_EM_WORKERS"] = "1"
     logging.getLogger().addHandler(logging.NullHandler())  # the CLI's log lines name paths and times
-    (out / "cli").mkdir(parents=True)
-    for label, args in _cli_commands(out / "cli", tiny).items():
+    out.mkdir(parents=True)
+    for label, args in _cli_commands(out, tiny).items():
         printed = io.StringIO()
         with redirect_stdout(printed), redirect_stderr(printed):
             arrays[f"cli/{label}/exit"] = np.array(cli.main(args))
@@ -173,18 +169,19 @@ def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, list[int]]
     """(one line per difference, {group: [compared, differ]})."""
     lines, counts = [], {g: [0, 0] for g in GROUPS}
     with np.load(parent / "arrays.npz") as pa, np.load(change / "arrays.npz") as ch:
-        for key in sorted(set(pa.files) | set(ch.files)):
+        parent_keys, change_keys = set(pa.files), set(ch.files)
+        for key in sorted(parent_keys | change_keys):
             group = counts[key.split("/")[0]]
             group[0] += 1
-            if key not in pa.files or key not in ch.files:
-                where = "parent" if key not in pa.files else "change"
-                lines.append(f"differs  {key}: missing in {where}")
-            elif pa[key].dtype != ch[key].dtype or pa[key].shape != ch[key].shape \
-                    or pa[key].tobytes() != ch[key].tobytes():
-                lines.append(f"differs  {key}: {_max_rel(pa[key], ch[key])}")
+            if key not in parent_keys or key not in change_keys:
+                note = "missing in " + ("parent" if key not in parent_keys else "change")
             else:
-                continue
+                a, b = pa[key], ch[key]
+                if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
+                    continue
+                note = _max_rel(a, b)
             group[1] += 1
+            lines.append(f"differs  {key}: {note}")
     files = {p.relative_to(parent / "cli") for p in (parent / "cli").rglob("*.csv")}
     files |= {p.relative_to(change / "cli") for p in (change / "cli").rglob("*.csv")}
     for name in sorted(files):
