@@ -15,7 +15,7 @@ from .algorithms import (
     svgd_em_step,
 )
 from .exceptions import ConfigError, DivergedError, MissingMStepError, ParseError
-from .kernels import median_heuristic, pairwise_sq_dists, rbf_matrix, stein_direction
+from .kernels import median_heuristic, pair_sq_dists, pairwise_sq_dists, rbf_matrix, stein_direction
 from .metrics import mse, particle_moments, procrustes_align, test_error
 from .models import (
     BayesianLogisticRegression,
@@ -44,6 +44,7 @@ __all__ = [
     "marginal_svgd_em_step",
     "median_heuristic",
     "mse",
+    "pair_sq_dists",
     "pairwise_sq_dists",
     "particle_moments",
     "pgd_step",

@@ -102,14 +102,14 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
 def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) -> np.ndarray:
     """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
 
-    The squared distances are computed once and shared by the bandwidth and the kernel.
+    The pair squared distances are computed once and shared by the bandwidth and the kernel.
     """
-    sq = kernels.pairwise_sq_dists(z)
-    bandwidth = median_heuristic(z, sq) if h is None else float(h)
+    pair_sq = kernels.pair_sq_dists(z)
+    bandwidth = median_heuristic(z, pair_sq=pair_sq) if h is None else float(h)
     # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, model.grad_z(theta, z), bandwidth, sq)
+    return stein_direction(z, model.grad_z(theta, z), bandwidth, pair_sq=pair_sq)
 
 
 def _kt(x0, x, c, acc: KT, t: int):
@@ -264,7 +264,8 @@ class RunConfig:
 
     ``gamma`` is required for the learning-rate algorithms and must be absent
     for the coin variants. ``init`` optionally overrides the model's default
-    (theta0, particles0). ``metric_hooks`` maps metric names to callables
+    (theta0, particles0): d_theta entries and an (n_particles, d_z) cloud, all
+    finite. ``metric_hooks`` maps metric names to callables
     ``f(theta, particles) -> float`` evaluated at every recorded iteration.
     ``bandwidth`` fixes the kernel bandwidth; ``freeze_bandwidth`` computes it
     once from the initial cloud instead of at every iteration.
@@ -308,6 +309,20 @@ def validate_run(algorithm: str, config: RunConfig) -> list[str]:
     return problems
 
 
+def _init_problems(model: Model, n_particles: int, theta0: np.ndarray, z0: np.ndarray) -> list[str]:
+    """Every problem with an explicit initialization (theta0 flattened, z0 as given)."""
+    problems = []
+    if theta0.size != model.d_theta:
+        problems.append(f"init theta must have {model.d_theta} entries, got {theta0.size}")
+    if z0.shape != (n_particles, model.d_z):
+        problems.append(f"init particles must have shape (n_particles, d_z) = ({n_particles}, {model.d_z}), "
+                        f"got {z0.shape}")
+    for name, arr in (("theta", theta0), ("particles", z0)):
+        if not np.all(np.isfinite(arr)):
+            problems.append(f"init {name} must be finite, got {int(np.sum(~np.isfinite(arr)))} non-finite value(s)")
+    return problems
+
+
 def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     """Execute T optimizer steps and return the recorded trace.
 
@@ -327,12 +342,11 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     if config.init is not None:
         theta0 = np.asarray(config.init[0], dtype=np.float64).ravel().copy()
         z0 = np.asarray(config.init[1], dtype=np.float64).copy()
-        if z0.ndim != 2:
-            raise ConfigError([f"init particles must be (N, d_z), got shape {z0.shape}"])
+        problems = _init_problems(model, config.n_particles, theta0, z0)
+        if problems:
+            raise ConfigError(problems)
     else:
         theta0, z0 = model.default_init(config.n_particles, rng)
-    if z0.shape[0] != config.n_particles:
-        raise ConfigError([f"init provides {z0.shape[0]} particles but n_particles = {config.n_particles}"])
 
     h = median_heuristic(z0) if config.freeze_bandwidth and config.bandwidth is None else config.bandwidth
 

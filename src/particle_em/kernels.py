@@ -1,82 +1,152 @@
 """RBF kernel, median-heuristic bandwidth, and the kernelized update direction.
 
-Particle clouds are arrays of shape (N, d): one row per particle. The kernel
-is k(z, z') = exp(-||z - z'||^2 / h) with bandwidth h > 0.
+Particle clouds are arrays of shape (N, d): one row per particle, every value
+finite. The kernel is k(z, z') = exp(-||z - z'||^2 / h) with bandwidth h > 0.
+
+The kernel layer works on the condensed vector of the M = N(N-1)/2 pair
+squared distances, in row-major i < j order (the order of scipy's ``pdist``):
+:func:`pair_sq_dists` computes it once per cloud, and :func:`median_heuristic`,
+:func:`rbf_matrix` and :func:`stein_direction` take it through their
+``pair_sq`` keyword. Each value equals the one a dense (N, N, d) difference
+tensor gives, bit for bit; :func:`pairwise_sq_dists` is its square form.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+
+#: float64 entries of the j rows gathered at a time by :func:`pair_sq_dists` (64 KB)
+_CHUNK = 8192
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of n particles in row-major order, and each (i, j)'s slot.
+
+    Slot 0 is the diagonal and slot p + 1 the p-th pair, for (i, j) and (j, i)
+    alike, so ``table.take(slot)`` turns a [diagonal, M pair values] table into
+    the symmetric (n, n) matrix. The arrays are shared, hence read-only.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[iu, ju] = slot[ju, iu] = np.arange(1, iu.size + 1)
+    for arr in (iu, ju, slot):
+        arr.flags.writeable = False
+    return iu, ju, slot
+
+
+def _checked_pair_sq(pair_sq, n: int) -> np.ndarray:
+    m = n * (n - 1) // 2
+    pair_sq = np.asarray(pair_sq, dtype=np.float64)
+    if pair_sq.shape != (m,):
+        raise ValueError(f"pair_sq must be the ({m},) condensed pair distances of {n} particles, "
+                         f"got shape {pair_sq.shape}")
+    return pair_sq
+
+
+def pair_sq_dists(particles: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the pairs i < j, shape (M,) with M = N(N-1)/2.
+
+    The pairs are in row-major order, as in ``scipy.spatial.distance.pdist``.
+    The i rows are gathered into one (M, d) buffer and the j rows subtracted
+    from it in chunks of at most 8192 values (one row, if d is larger); each
+    pair's sum of squares is the same per-row ``einsum`` as over a dense
+    (N, N, d) difference tensor, so every value is bit-identical to it.
+
+    The kernel layer assumes finite particles (``run`` checks an explicit
+    initialization). For finite input the diagonal of :func:`pairwise_sq_dists`
+    is exactly 0, as in the dense form; for a row holding inf or nan the dense
+    form gives nan there (inf - inf) and the square form 0.
+    """
+    z = np.asarray(particles, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ValueError(f"particles must be a non-empty (N, d) array, got shape {z.shape}")
+    iu, ju, _ = _pair_table(z.shape[0])
+    # one full-size buffer, freed on return: a smaller or chunked first gather leaves glibc's
+    # mmap threshold low, and the models' later large temporaries then fault in fresh pages
+    diff = np.take(z, iu, 0)
+    rows = max(1, _CHUNK // z.shape[1])
+    for start in range(0, iu.size, rows):
+        block = diff[start:start + rows]
+        np.subtract(block, np.take(z, ju[start:start + rows], 0), out=block)
+    return np.einsum("mk,mk->m", diff, diff)
 
 
 def pairwise_sq_dists(particles: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between all particle pairs, shape (N, N).
 
-    Computed from elementwise squared differences so the result is exactly
-    symmetric with an exactly zero diagonal.
+    The square form of :func:`pair_sq_dists`: exactly symmetric, with an
+    exactly zero diagonal.
     """
-    z = np.asarray(particles, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError(f"particles must be a non-empty (N, d) array, got shape {z.shape}")
-    diff = z[:, None, :] - z[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    pair_sq = pair_sq_dists(particles)
+    return np.concatenate(([0.0], pair_sq)).take(_pair_table(np.shape(particles)[0])[2])
 
 
-def median_heuristic(particles: np.ndarray, sq: np.ndarray | None = None) -> float:
-    """Bandwidth h = med^2 / ln(N), med the median off-diagonal pair distance.
+def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None) -> float:
+    """Bandwidth h = med^2 / ln(N), med the median pair distance.
 
     Falls back to h = 1.0 when there are no pairs (N = 1), when all particles
     coincide (med = 0), or when ln(N) = 0. Even pair counts use the mean of
-    the two middle order statistics. ``sq``, if given, must equal
-    ``pairwise_sq_dists(particles)``; it saves recomputing the distances.
+    the two middle order statistics. ``pair_sq``, if given, must equal
+    ``pair_sq_dists(particles)``; it saves recomputing the distances.
     """
     z = np.asarray(particles, dtype=np.float64)
     n = z.shape[0]
     if n < 2:
         return 1.0
-    if sq is None:
-        sq = pairwise_sq_dists(z)
-    # sq is exactly symmetric with a zero diagonal, so its sorted entries are N
-    # zeros then each of the M pair values twice: order statistics k and k + 1
-    # are the two middle pair values (equal when M is odd). sqrt is monotone and
-    # correctly rounded, so selecting before the sqrt matches np.median exactly.
-    k = n + n * (n - 1) // 2 - 1
-    part = np.partition(sq.ravel(), k)
-    med = float(np.mean(np.sqrt([part[k], part[k + 1:].min()])))
+    pair_sq = pair_sq_dists(z) if pair_sq is None else _checked_pair_sq(pair_sq, n)
+    # order statistics (m - 1) // 2 and m // 2 are the two middle values (one when m is odd).
+    # sqrt is monotone and correctly rounded, so selecting before the sqrt matches np.median
+    # exactly, and (a + b) / 2 in floats is the mean np.median takes of the two. One partition
+    # and a min: on the clouds of a logistic fit, partitioning at both indices is 6x slower.
+    m = pair_sq.size
+    k = (m - 1) // 2
+    part = np.partition(pair_sq, k)
+    upper = part[k] if m % 2 else part[k + 1:].min()
+    med = (math.sqrt(part[k]) + math.sqrt(upper)) / 2.0
     log_n = np.log(n)
     if med == 0.0 or log_n == 0.0:
         return 1.0
     return med * med / log_n
 
 
-def rbf_matrix(particles: np.ndarray, h: float, sq: np.ndarray | None = None) -> np.ndarray:
+def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix K[i, j] = exp(-||z_i - z_j||^2 / h), shape (N, N).
 
-    ``sq``, if given, must equal ``pairwise_sq_dists(particles)``.
+    The exponential is taken once per pair and the (N, N) matrix filled by
+    one gather, with 1.0 on the diagonal. ``pair_sq``, if given, must equal
+    ``pair_sq_dists(particles)``.
     """
     h = float(h)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"bandwidth must be a finite positive number, got {h}")
-    if sq is None:
-        sq = pairwise_sq_dists(particles)
-    return np.exp(-sq / h)
+    n = np.shape(particles)[0]
+    pair_sq = pair_sq_dists(particles) if pair_sq is None else _checked_pair_sq(pair_sq, n)
+    table = np.empty(pair_sq.size + 1)
+    table[0] = 1.0
+    pairs = table[1:]
+    np.exp(np.divide(pair_sq, -h, out=pairs), out=pairs)
+    return table.take(_pair_table(n)[2])
 
 
 def stein_direction(
-    particles: np.ndarray, grads: np.ndarray, h: float, sq: np.ndarray | None = None
+    particles: np.ndarray, grads: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-particle update velocity combining attraction and kernel repulsion.
 
     Row i is (1/N) * sum_j [ k(z_j, z_i) * grads[j] + grad_{z_j} k(z_j, z_i) ],
     where grads[j] is the log-density gradient at particle j and, for the RBF
-    kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i). ``sq``, if
-    given, must equal ``pairwise_sq_dists(particles)``.
+    kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i). ``pair_sq``,
+    if given, must equal ``pair_sq_dists(particles)``.
     """
     z = np.asarray(particles, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != z.shape:
         raise ValueError(f"grads shape {g.shape} does not match particles shape {z.shape}")
-    k = rbf_matrix(z, h, sq)
+    k = rbf_matrix(z, h, pair_sq=pair_sq)
     n = z.shape[0]
     # K is symmetric; K.T keeps the sum-over-first-argument convention explicit.
     attraction = k.T @ g

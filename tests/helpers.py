@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from particle_em.kernels import pairwise_sq_dists
 from particle_em.models import sigmoid, softplus
 from particle_em.models.base import Model
 
@@ -65,13 +64,30 @@ def stein_naive(particles, grads, h):
     return out / n
 
 
+def pairwise_sq_dists_naive(particles):
+    """Reference (N, N) squared distances from the dense (N, N, d) difference tensor."""
+    z = np.asarray(particles, dtype=np.float64)
+    diff = z[:, None, :] - z[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def stein_dense(particles, grads, h):
+    """Reference kernelized direction from the dense (N, N) kernel matrix exp(-sq / h)."""
+    z = np.asarray(particles, dtype=np.float64)
+    g = np.asarray(grads, dtype=np.float64)
+    k = np.exp(-pairwise_sq_dists_naive(z) / h)
+    attraction = k.T @ g
+    repulsion = (2.0 / h) * (z * k.sum(axis=0)[:, None] - k.T @ z)
+    return (attraction + repulsion) / z.shape[0]
+
+
 def median_heuristic_naive(particles):
     """Reference bandwidth: np.median over the square roots of the upper-triangle pair distances."""
     z = np.asarray(particles, dtype=np.float64)
     n = z.shape[0]
     if n < 2:
         return 1.0
-    sq = pairwise_sq_dists(z)
+    sq = pairwise_sq_dists_naive(z)
     med = float(np.median(np.sqrt(sq[np.triu_indices(n, 1)])))
     log_n = np.log(n)
     if med == 0.0 or log_n == 0.0:

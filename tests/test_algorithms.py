@@ -485,6 +485,30 @@ class TestRunLoop:
         with pytest.raises(ConfigError, match="particles"):
             run("adaptive_coin_em", m, RunConfig(n_particles=5, n_iters=1, init=(np.zeros(1), np.zeros((3, 2)))))
 
+    def test_init_problems_are_reported_together(self):
+        m = toy_model(d_z=2)
+        init = (np.zeros(2), np.zeros((3, 3)))
+        with pytest.raises(ConfigError) as excinfo:
+            run("adaptive_coin_em", m, RunConfig(n_particles=3, n_iters=1, init=init))
+        assert excinfo.value.violations == [
+            "init theta must have 1 entries, got 2",
+            "init particles must have shape (n_particles, d_z) = (3, 2), got (3, 3)",
+        ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["theta", "particles"])
+    def test_non_finite_init_is_a_config_error(self, bad, where):
+        m = toy_model(d_z=2)
+        theta0, z0 = np.zeros(1), np.zeros((3, 2))
+        (theta0 if where == "theta" else z0).flat[0] = bad
+        with pytest.raises(ConfigError, match=f"init {where} must be finite, got 1 non-finite value"):
+            run("adaptive_coin_em", m, RunConfig(n_particles=3, n_iters=1, init=(theta0, z0)))
+
+    def test_one_dimensional_init_particles_rejected(self):
+        with pytest.raises(ConfigError, match=r"got \(3,\)"):
+            run("svgd_em", toy_model(d_z=1), RunConfig(n_particles=3, n_iters=1, gamma=0.1,
+                                                       init=(np.zeros(1), np.zeros(3))))
+
 
 def test_svgd_theta_gradient_decays_on_toy():
     # empirical descent check: gradient norm shrinks over the run (gamma*d_z < 2)

@@ -1,19 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import particle_em
 from particle_em import algorithms, kernels
 from particle_em.algorithms import State
 from particle_em.kernels import (
     median_heuristic,
+    pair_sq_dists,
     pairwise_sq_dists,
     rbf_matrix,
     stein_direction,
 )
 from particle_em.models import GaussianHierarchicalModel
-from helpers import assert_bitwise_equal, median_heuristic_naive, stein_naive
+from helpers import (
+    assert_bitwise_equal,
+    median_heuristic_naive,
+    pairwise_sq_dists_naive,
+    stein_dense,
+    stein_naive,
+)
 
 
 #: coordinate values: moderate reals, an integer grid (ties), and magnitudes
@@ -66,6 +79,70 @@ class TestPairwiseSqDists:
             pairwise_sq_dists(np.empty((0, 2)))
 
 
+#: explicit clouds at the shapes of the logistic workload (N=100, d=30) and beyond it
+LARGE_CLOUDS = [np.random.default_rng(n).standard_normal((n, 30)) for n in (100, 300)]
+
+
+class TestPairSqDists:
+    """The condensed pair vector and every kernel function on it, bit for bit against the
+    dense (N, N, d) path of ``helpers``."""
+
+    def test_single_particle_has_no_pairs(self):
+        assert pair_sq_dists(np.array([[1.0, 2.0]])).shape == (0,)
+
+    def test_hand_values_in_row_major_order(self):
+        z = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(pair_sq_dists(z), [25.0, 1.0, 18.0])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            pair_sq_dists(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (7, 3), (100, 30), (40, 9000)])
+    def test_order_matches_scipy_pdist(self, n, d):
+        from scipy.spatial.distance import pdist
+
+        z = np.random.default_rng(n + d).standard_normal((n, d))
+        np.testing.assert_allclose(pair_sq_dists(z), pdist(z, "sqeuclidean"), rtol=1e-12)
+
+    @staticmethod
+    def check_dense(z, h):
+        dense = pairwise_sq_dists_naive(z)
+        n = z.shape[0]
+        assert_bitwise_equal(pair_sq_dists(z), dense[np.triu_indices(n, 1)])
+        assert_bitwise_equal(pairwise_sq_dists(z), dense)
+        assert_bitwise_equal(median_heuristic(z), median_heuristic_naive(z))
+        with np.errstate(over="ignore"):  # huge clouds: sq / h overflows to inf on both paths
+            assert_bitwise_equal(rbf_matrix(z, h), np.exp(-dense / h))
+
+    @given(clouds(), st.floats(0.05, 20.0))
+    def test_matches_the_dense_path_bitwise(self, z, h):
+        self.check_dense(z, h)
+
+    @pytest.mark.parametrize("z", LARGE_CLOUDS, ids=lambda z: f"{z.shape[0]}x{z.shape[1]}")
+    def test_large_clouds_match_the_dense_path_bitwise(self, z):
+        self.check_dense(z, median_heuristic(z))
+        g = np.random.default_rng(1).standard_normal(z.shape)
+        h = median_heuristic(z)
+        assert_bitwise_equal(stein_direction(z, g, h), stein_dense(z, g, h))
+
+    @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
+    def test_stein_direction_matches_the_dense_path_bitwise(self, data, z, h):
+        g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
+        assert_bitwise_equal(stein_direction(z, g, h), stein_dense(z, g, h))
+
+    def test_a_square_distance_matrix_fails_loudly(self):
+        z = np.random.default_rng(2).standard_normal((5, 2))
+        square = pairwise_sq_dists(z)
+        for call in (lambda: median_heuristic(z, pair_sq=square),
+                     lambda: rbf_matrix(z, 1.0, pair_sq=square),
+                     lambda: stein_direction(z, z, 1.0, pair_sq=square)):
+            with pytest.raises(ValueError, match=r"pair_sq must be the \(10,\) condensed"):
+                call()
+        with pytest.raises(TypeError):
+            median_heuristic(z, square)
+
+
 class TestMedianHeuristic:
     def test_single_particle_fallback(self):
         assert median_heuristic(np.array([[3.0]])) == 1.0
@@ -99,7 +176,7 @@ class TestMedianHeuristic:
     def test_matches_np_median_reference_bitwise(self, z):
         want = median_heuristic_naive(z)
         assert_bitwise_equal(median_heuristic(z), want)
-        assert_bitwise_equal(median_heuristic(z, pairwise_sq_dists(z)), want)
+        assert_bitwise_equal(median_heuristic(z, pair_sq=pair_sq_dists(z)), want)
 
     def test_every_cloud_size_up_to_64_on_an_integer_grid(self):
         # odd and even pair counts M = N(N-1)/2, with ties and coincident particles
@@ -142,7 +219,7 @@ class TestRbfMatrix:
 
     @given(clouds(), st.floats(0.05, 20.0))
     def test_precomputed_distances_give_the_same_matrix(self, z, h):
-        assert_bitwise_equal(rbf_matrix(z, h, pairwise_sq_dists(z)), rbf_matrix(z, h))
+        assert_bitwise_equal(rbf_matrix(z, h, pair_sq=pair_sq_dists(z)), rbf_matrix(z, h))
 
 
 class TestSteinDirection:
@@ -185,7 +262,7 @@ class TestSteinDirection:
     @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
     def test_precomputed_distances_give_the_same_direction(self, data, z, h):
         g = data.draw(hnp.arrays(np.float64, z.shape, elements=COORDS["real"]))
-        assert_bitwise_equal(stein_direction(z, g, h, pairwise_sq_dists(z)), stein_direction(z, g, h))
+        assert_bitwise_equal(stein_direction(z, g, h, pair_sq=pair_sq_dists(z)), stein_direction(z, g, h))
 
     @given(st.data(), moderate_clouds, st.floats(0.05, 20.0))
     def test_permutation_equivariance_property(self, data, z, h):
@@ -212,18 +289,20 @@ class TestSteinDirection:
 
 
 class TestSharedDistances:
-    """Each kernelized step builds the (N, N) squared distances once, fixed bandwidth or not."""
+    """Each kernelized step builds the condensed pair distances once, fixed bandwidth or not,
+    and never the (N, N) square form."""
 
     @staticmethod
     def counting(monkeypatch):
         calls = []
-        inner = kernels.pairwise_sq_dists
+        for name in ("pair_sq_dists", "pairwise_sq_dists"):
+            inner = getattr(kernels, name)
 
-        def counted(particles):
-            calls.append(1)
-            return inner(particles)
+            def counted(particles, name=name, inner=inner):
+                calls.append(name)
+                return inner(particles)
 
-        monkeypatch.setattr(kernels, "pairwise_sq_dists", counted)
+            monkeypatch.setattr(kernels, name, counted)
         return calls
 
     @staticmethod
@@ -243,7 +322,7 @@ class TestSharedDistances:
         state, model = self.setup(algorithm)
         calls = self.counting(monkeypatch)
         getattr(algorithms, f"{algorithm}_step")(state, model, h)
-        assert len(calls) == 1
+        assert calls == ["pair_sq_dists"]
 
     def test_pgd_builds_none(self, monkeypatch):
         state, model = self.setup("pgd")
@@ -269,3 +348,37 @@ def test_kernel_gradient_matches_finite_differences():
             down = np.exp(-np.sum((zj - e - zi) ** 2) / h)
             fd[k] = (up - down) / (2 * step)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+
+FAULT_GUARD = """
+import resource
+import numpy as np
+from particle_em import BayesianLogisticRegression, RunConfig, run
+
+rng = np.random.default_rng(455)
+X = rng.standard_normal((455, 30))
+y = (rng.random(455) < 1.0 / (1.0 + np.exp(-0.5 * X @ rng.standard_normal(30)))).astype(float)
+model = BayesianLogisticRegression(X, y)
+config = RunConfig(n_particles=100, n_iters=200, seed=3, record_every=200)
+run("adaptive_coin_em", model, config)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run("adaptive_coin_em", model, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.n_iters)
+"""
+
+
+def test_logreg_steps_reuse_their_pages():
+    """A warm 455x30 logistic fit at N=100 takes under one minor page fault per step.
+
+    The kernel's single (M, d) pair buffer is large enough that freeing it raises glibc's
+    mmap threshold above the size of the model's (N, n) temporaries, so later steps reuse
+    heap pages; gathering both row sets in small chunks instead costs some 200 fresh pages
+    a step. The fit runs in one fresh subprocess, so this process's heap cannot hide that.
+    """
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(Path(particle_em.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", FAULT_GUARD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults_per_step = float(proc.stdout.split()[-1])
+    assert faults_per_step < 1.0

@@ -16,13 +16,17 @@ Writes ``BENCH_<tag>.json`` (tag: the change's short commit hash, with
 runs, every pair's end-to-end metrics, and per workload and metric the
 median and quartiles of each side, the change/parent ratio of the medians and
 the number of pairs the change won (strictly better in the metric's
-direction). A run that exits non-zero stops the tool.
+direction). Each run also records ``minor_faults``, the minor page faults of
+its process tree, and each workload the median of those per side, so an
+allocator regression shows even when the timings hide it. A run that exits
+non-zero stops the tool.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -35,16 +39,18 @@ from trees import ROOT, commit_of, trees, working_tree_label
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """One benchmark run: {'env', 'correct', 'attempted', 'failed', 'metrics': {name: value}}."""
+    """One benchmark run: {'env', 'correct', 'attempted', 'failed', 'minor_faults', 'metrics': {name: value}}."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
+    faults_before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    minor_faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults_before
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     env = next((json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")), {})
-    return {"env": env, **{k: result[k] for k in ("correct", "attempted", "failed")},
+    return {"env": env, **{k: result[k] for k in ("correct", "attempted", "failed")}, "minor_faults": minor_faults,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -107,7 +113,10 @@ def main(argv=None) -> int:
                           f"fit_s {run['metrics'].get('fit_s', float('nan')):.4g}", file=sys.stderr)
                 pairs.append(pair)
                 seed += 1
-            report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
+            report["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs, spec["end_to_end"]),
+                "minor_faults": {side: float(np.median([p[side]["minor_faults"] for p in pairs]))
+                                 for side in ("parent", "change")}}
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
     path = Path(args.out) / f"BENCH_{tag}.json"
@@ -118,6 +127,8 @@ def main(argv=None) -> int:
             print(f"{workload:14s} {name:12s} parent {row['parent']['median']:<10.4g} "
                   f"change {row['change']['median']:<10.4g} ratio {ratio:6s} "
                   f"won {row['change_won']}/{row['pairs']}")
+        faults = entry["minor_faults"]
+        print(f"{workload:14s} {'minor_faults':12s} parent {faults['parent']:<10.6g} change {faults['change']:<10.6g}")
     print(f"wrote {path}")
     return 0
 
