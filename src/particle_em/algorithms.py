@@ -262,8 +262,10 @@ class Trace:
 class RunConfig:
     """Settings for a single optimization run.
 
-    ``gamma`` is required for the learning-rate algorithms and must be absent
-    for the coin variants. ``init`` optionally overrides the model's default
+    ``n_particles``, ``n_iters``, ``record_every`` and ``seed`` are integers
+    (numpy integers too, never bool), ``seed`` non-negative. ``gamma`` is
+    required for the learning-rate algorithms and must be absent for the
+    coin variants. ``init`` optionally overrides the model's default
     (theta0, particles0): d_theta entries and an (n_particles, d_z) cloud, all
     finite. ``metric_hooks`` maps metric names to callables
     ``f(theta, particles) -> float`` evaluated at every recorded iteration.
@@ -287,39 +289,47 @@ class RunConfig:
     particle_grads_use_new_theta: bool = True
 
 
-def validate_run(algorithm: str, config: RunConfig) -> list[str]:
-    """Return every problem with running ``algorithm`` under ``config``."""
+def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) -> list[str]:
+    """Return every problem with running ``algorithm`` under ``config``.
+
+    Given the ``model``, also check that a marginal algorithm's M-step exists
+    and that an explicit ``init`` fits the model.
+    """
     problems = []
-    if algorithm not in ALGORITHMS:
+    rules = ALGORITHMS.get(algorithm)
+    if rules is None:
         problems.append(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
-    elif "gd" in ALGORITHMS[algorithm]:  # the learning-rate algorithms
+    elif "gd" in rules:  # the learning-rate algorithms
         if config.gamma is None:
             problems.append(f"gamma is required for algorithm {algorithm!r}")
         elif not np.isfinite(config.gamma) or config.gamma <= 0:
             problems.append(f"gamma must be a finite positive number, got {config.gamma}")
     elif config.gamma is not None:
         problems.append(f"gamma is forbidden for coin algorithm {algorithm!r}")
-    for name, low in (("n_particles", 1), ("n_iters", 0), ("record_every", 1)):
-        if getattr(config, name) < low:
-            problems.append(f"{name} must be >= {low}, got {getattr(config, name)}")
+    for name, low in (("n_particles", 1), ("n_iters", 0), ("record_every", 1), ("seed", 0)):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            problems.append(f"{name} must be an integer, got {value!r}")
+        elif value < low:
+            problems.append(f"{name} must be >= {low}, got {value}")
     if config.adaptive_denominator not in ("standard", "bnn"):
         problems.append(f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}")
     if config.bandwidth is not None and not (np.isfinite(config.bandwidth) and config.bandwidth > 0):
         problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth}")
-    return problems
-
-
-def _init_problems(model: Model, n_particles: int, theta0: np.ndarray, z0: np.ndarray) -> list[str]:
-    """Every problem with an explicit initialization (theta0 flattened, z0 as given)."""
-    problems = []
-    if theta0.size != model.d_theta:
-        problems.append(f"init theta must have {model.d_theta} entries, got {theta0.size}")
-    if z0.shape != (n_particles, model.d_z):
-        problems.append(f"init particles must have shape (n_particles, d_z) = ({n_particles}, {model.d_z}), "
-                        f"got {z0.shape}")
-    for name, arr in (("theta", theta0), ("particles", z0)):
-        if not np.all(np.isfinite(arr)):
-            problems.append(f"init {name} must be finite, got {int(np.sum(~np.isfinite(arr)))} non-finite value(s)")
+    if model is None:
+        return problems
+    if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
+        problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
+    if config.init is not None:
+        theta0, z0 = (np.asarray(a, dtype=np.float64) for a in config.init)
+        if theta0.size != model.d_theta:
+            problems.append(f"init theta must have {model.d_theta} entries, got {theta0.size}")
+        if z0.shape != (config.n_particles, model.d_z):
+            problems.append(f"init particles must have shape (n_particles, d_z) = "
+                            f"({config.n_particles}, {model.d_z}), got {z0.shape}")
+        for name, arr in (("theta", theta0), ("particles", z0)):
+            if not np.all(np.isfinite(arr)):
+                problems.append(f"init {name} must be finite, got {int(np.sum(~np.isfinite(arr)))} non-finite value(s)")
     return problems
 
 
@@ -331,20 +341,14 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     model, config, seed) produce bit-identical traces. On divergence a
     :class:`DivergedError` is raised with the partial trace attached.
     """
-    problems = validate_run(algorithm, config)
-    theta_rule, particle_rule = ALGORITHMS.get(algorithm, (None, None))
-    if theta_rule == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
-        problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
+    problems = validate_run(algorithm, config, model)
     if problems:
         raise ConfigError(problems)
-
+    theta_rule, particle_rule = ALGORITHMS[algorithm]
     rng = np.random.default_rng(config.seed)
     if config.init is not None:
         theta0 = np.asarray(config.init[0], dtype=np.float64).ravel().copy()
         z0 = np.asarray(config.init[1], dtype=np.float64).copy()
-        problems = _init_problems(model, config.n_particles, theta0, z0)
-        if problems:
-            raise ConfigError(problems)
     else:
         theta0, z0 = model.default_init(config.n_particles, rng)
 

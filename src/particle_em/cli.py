@@ -8,7 +8,8 @@ a diverged grid point is recorded as ``inf`` rather than failing the sweep.
 
 Seed derivation: from a master seed S, the dataset stream uses
 SeedSequence([S, 0]) and run k uses SeedSequence([S, 1, k]), so any sweep
-point can be reproduced individually via ``run --seed S --run-index k``.
+point can be reproduced individually via ``run --seed S --run-index k`` with
+its grid value; ``run`` is always one run and ignores the sweep keys.
 """
 
 from __future__ import annotations
@@ -175,15 +176,9 @@ def _run_single(config: ExperimentConfig) -> tuple[float, bool]:
     return final_metrics[_summary_metric_name(config, final_metrics)], False
 
 
-def _sweep_point(config_dict: dict) -> tuple[int, float, float]:
-    """Worker entry: run one grid point from its serialized config."""
-    config = ExperimentConfig(**config_dict)
-    value, _ = _run_single(config)
-    return config.run_index, _grid_value(config), value
-
-
-def _grid_value(config: ExperimentConfig) -> float:
-    return float(config.gamma if config.sweep_param == "gamma" else config.particles)
+def _sweep_point(config_dict: dict) -> float:
+    """Worker entry: run one grid point from its serialized config; returns its summary metric."""
+    return _run_single(ExperimentConfig(**config_dict))[0]
 
 
 def _point_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
@@ -213,24 +208,19 @@ def run_sweep(config: ExperimentConfig) -> str:
     """Run every grid point and write the summary CSV; returns its path."""
     points = _point_configs(config)
     workers = _worker_count(len(points))
-    results: dict[int, tuple[float, float]] = {}
     if workers <= 1:
-        for point in points:
-            k, grid_value, metric = _sweep_point(asdict(point))
-            results[k] = (grid_value, metric)
+        finals = [_sweep_point(asdict(point)) for point in points]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, grid_value, metric in pool.map(_sweep_point, [asdict(p) for p in points]):
-                results[k] = (grid_value, metric)
+            finals = list(pool.map(_sweep_point, [asdict(p) for p in points]))
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, config.resolved_name() + "_sweep.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sweep_value", "final_metric"])
-        for k in range(len(points)):
-            grid_value, metric = results[k]
-            writer.writerow([repr(grid_value), repr(metric)])
+        for value, metric in zip(config.sweep_values, finals):
+            writer.writerow([repr(float(value)), repr(metric)])
     return summary_path
 
 
@@ -267,18 +257,6 @@ def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
             for i, row in enumerate(cloud):
                 writer.writerow([iteration, i] + [repr(float(v)) for v in row])
     return path
-
-
-def run_experiment(config: ExperimentConfig) -> int:
-    """Single run or full sweep per the config; returns a process exit code."""
-    if config.sweep_param is not None:
-        summary = run_sweep(config)
-        logger.info("sweep summary written to %s", summary)
-    else:
-        metric, diverged = _run_single(config)
-        status = "diverged" if diverged else f"final metric {metric!r}"
-        logger.info("run %s finished: %s", config.resolved_name(), status)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +310,16 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config, _overrides(args))
         if args.command == "dump":
-            path = dump_particles(config, at=args.at)
-            logger.info("particle snapshot written to %s", path)
-            return 0
-        if args.command == "sweep" and config.sweep_param is None:
-            raise ConfigError(["sweep requires sweep_param and sweep_values"])
-        return run_experiment(config)
+            logger.info("particle snapshot written to %s", dump_particles(config, at=args.at))
+        elif args.command == "sweep":
+            if config.sweep_param is None:
+                raise ConfigError(["sweep requires sweep_param and sweep_values"])
+            logger.info("sweep summary written to %s", run_sweep(config))
+        else:
+            metric, diverged = _run_single(config)
+            status = "diverged" if diverged else f"final metric {metric!r}"
+            logger.info("run %s finished: %s", config.resolved_name(), status)
+        return 0
     except ConfigError as err:
         for violation in err.violations:
             print(f"config error: {violation}", file=sys.stderr)

@@ -163,6 +163,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.model not in MODELS:
         problems.append(f"model must be one of {MODELS}, got {config.model!r}")
     # a gamma sweep runs every grid value as gamma; the first stands in for all here
+    # (a single run of a sweep config without gamma is refused by algorithms.run)
     overrides = {"gamma": config.sweep_values[0]} if config.sweep_param == "gamma" and config.sweep_values else {}
     problems.extend(validate_run(config.algorithm, config.run_config(**overrides)))
     if config.run_index < 0:

@@ -49,8 +49,8 @@ class BayesianLogisticRegression(Model):
             raise ValueError(f"y must have length {X.shape[0]}, got shape {y.shape}")
         if y.size and not np.all(np.isin(y, (0, 1))):
             raise ValueError("labels must be 0 or 1")
-        if not prior_var > 0:
-            raise ValueError(f"prior_var must be positive, got {prior_var}")
+        if not (prior_var > 0 and np.isfinite(prior_var)):  # inf would make log_joint -inf everywhere
+            raise ValueError(f"prior_var must be positive and finite, got {prior_var}")
         self.X = X
         self.y = y.astype(np.float64)
         self.prior_var = float(prior_var)

@@ -509,6 +509,40 @@ class TestRunLoop:
             run("svgd_em", toy_model(d_z=1), RunConfig(n_particles=3, n_iters=1, gamma=0.1,
                                                        init=(np.zeros(1), np.zeros(3))))
 
+    def test_mstep_and_init_problems_are_reported_together(self):
+        m = BayesianLogisticRegression(np.zeros((2, 2)), np.array([0, 1]))
+        init = (np.zeros(2), np.zeros((3, 3)))
+        with pytest.raises(ConfigError) as excinfo:
+            run("marginal_coin_em", m, RunConfig(n_particles=3, n_iters=1, init=init))
+        assert excinfo.value.violations == [
+            "algorithm 'marginal_coin_em' needs a closed-form M-step, which BayesianLogisticRegression lacks",
+            "init theta must have 1 entries, got 2",
+            "init particles must have shape (n_particles, d_z) = (3, 2), got (3, 3)",
+        ]
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("n_particles", 2.5, "n_particles must be an integer, got 2.5"),
+        ("n_particles", True, "n_particles must be an integer, got True"),
+        ("n_particles", 0, "n_particles must be >= 1, got 0"),
+        ("n_iters", 2.0, "n_iters must be an integer, got 2.0"),
+        ("record_every", 1.5, "record_every must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ])
+    def test_bad_count_or_seed_is_a_config_error(self, name, value, message):
+        config = RunConfig(**{"n_particles": 3, "n_iters": 2, "seed": 1, name: value})
+        with pytest.raises(ConfigError) as excinfo:
+            run("adaptive_coin_em", toy_model(), config)
+        assert excinfo.value.violations == [message]
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        m = toy_model()
+        plain = run("adaptive_coin_em", m, RunConfig(n_particles=3, n_iters=4, record_every=2, seed=5))
+        numpy_ints = run("adaptive_coin_em", m, RunConfig(n_particles=np.int64(3), n_iters=np.int32(4),
+                                                          record_every=np.int64(2), seed=np.uint64(5)))
+        assert list(numpy_ints.iterations()) == [0, 2, 4]
+        np.testing.assert_array_equal(numpy_ints.final_particles, plain.final_particles)
+
 
 def test_svgd_theta_gradient_decays_on_toy():
     # empirical descent check: gradient norm shrinks over the run (gamma*d_z < 2)

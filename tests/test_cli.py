@@ -341,6 +341,30 @@ class TestSweepCommand:
         assert code == 0
         assert (out / "toy_pgd_001.csv").read_bytes() == (single_out / "toy_pgd_001.csv").read_bytes()
 
+    def test_shipped_sweep_point_reproducible_from_its_config(self, tmp_path, monkeypatch):
+        # run on a sweep config is one run: the grid point that --run-index and --gamma name
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        cfg = os.path.join("configs", "toy_pgd_sweep.cfg")
+        common = ["--config", cfg, "--seed", "3", "--iters", "5"]
+        assert main(["sweep", *common, "--out", str(tmp_path / "sweep")]) == 0
+        gamma = repr(parse_config(cfg).sweep_values[7])
+        single = tmp_path / "single"
+        code = main(["run", *common, "--run-index", "7", "--gamma", gamma, "--name", "toy_pgd_007",
+                     "--out", str(single)])
+        assert code == 0
+        assert sorted(os.listdir(single)) == ["toy_pgd_007.csv", "toy_pgd_007.json"]
+        assert (single / "toy_pgd_007.csv").read_bytes() == (tmp_path / "sweep" / "toy_pgd_007.csv").read_bytes()
+
+    def test_run_on_sweep_config_requires_gamma(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        out = tmp_path / "single"
+        code = main(["run", "--config", os.path.join("configs", "toy_pgd_sweep.cfg"), "--seed", "3",
+                     "--run-index", "7", "--iters", "5", "--name", "toy_pgd_007", "--out", str(out)])
+        assert code == 2
+        assert "gamma is required" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values", [("particles", "2,inf"), ("gamma", "0.01,nan")])
     def test_non_finite_grid_rejected_before_any_point_runs(self, tmp_path, capsys, param, values):
         out = tmp_path / "sweep"

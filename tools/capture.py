@@ -12,9 +12,10 @@ extracted the same way). Each tree runs in its own interpreter with its own
 - network: four algorithms from the model's ``default_init`` on
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
   ``adaptive_coin_em``;
-- cli: the trace CSVs (and sweep summary) of the c10 command and of every
-  ``configs/*.cfg``; a logreg config reads a seeded synthetic CSV in place of
-  the clinical file the repository does not ship.
+- cli: the trace CSVs (and sweep summaries) of the c10 command, of every
+  ``configs/*.cfg`` (``sweep`` for a config that sets ``sweep_param``, else
+  ``run``) and of a small particles sweep; a logreg config reads a seeded
+  synthetic CSV in place of the clinical file the repository does not ship.
 
 Each library run keeps every record's iteration, theta, particle mean and
 metrics, the initial and final particles, and the divergence iteration and
@@ -45,6 +46,8 @@ ALL = ("svgd_em", "coin_em", "adaptive_coin_em", "marginal_svgd_em", "marginal_c
 GAMMA = {"svgd_em": 0.01, "marginal_svgd_em": 0.01, "pgd": 0.01}
 C10 = ["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles", "5",
        "--iters", "50", "--seed", "10", "--name", "det"]
+PARTICLES_SWEEP = ["sweep", "--model", "toy", "--algorithm", "adaptive_coin_em", "--seed", "4",
+                   "--sweep-param", "particles", "--sweep-values", "2,5,10", "--iters", "20"]
 GROUPS = ("golden", "toy", "network", "cli")
 
 
@@ -85,10 +88,10 @@ def _synthetic_logreg_csv(path: Path, label_column: str, positive_label: str) ->
 def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
     from particle_em.config import read_config_file
 
-    commands = {"c10": list(C10)}
+    commands = {"c10": list(C10), "particles_sweep": list(PARTICLES_SWEEP)}
     for cfg in sorted(Path("configs").glob("*.cfg")):
-        args = ["run", "--config", str(cfg)]
         keys = read_config_file(str(cfg))
+        args = ["sweep" if "sweep_param" in keys else "run", "--config", str(cfg)]
         if keys.get("model") == "logreg":
             data = out / f"{cfg.stem}-data.csv"
             _synthetic_logreg_csv(data, keys.get("label_column", "label"), keys.get("positive_label", "1"))
