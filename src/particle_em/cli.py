@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__, metrics
 from .algorithms import Trace, run
-from .config import ExperimentConfig, parse_config
+from .config import SWEEP_KEYS, ExperimentConfig, parse_config, read_config_file
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
 from .exceptions import ConfigError, DivergedError, ParseError
 from .models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
@@ -38,6 +39,9 @@ logger = logging.getLogger(__name__)
 WORKERS_ENV = "PARTICLE_EM_WORKERS"
 
 _SEED_MASK = (1 << 64) - 1
+
+#: the final metric a sweep summarizes each grid point by, unless ``sweep_metric`` names another
+SUMMARY_METRICS = {"toy": "theta_mse", "logreg": "test_error", "network": "mean_log_joint"}
 
 
 def derive_seed(master_seed: int, *stream: int) -> int:
@@ -53,6 +57,9 @@ def _build_model(config: ExperimentConfig, data_seed: int):
         return GaussianHierarchicalModel(x), {}
     if config.model == "logreg":
         dataset = load_csv(config.data_path, config.label_column, config.positive_label)
+        if dataset.n - math.ceil(dataset.n * config.test_fraction) < 1:
+            raise ParseError(f"{config.data_path}: {dataset.n} data row(s) leave no training row "
+                             f"at test_fraction {config.test_fraction}")
         train, test = train_test_split(dataset, config.test_fraction, data_seed)
         model = BayesianLogisticRegression(train.X, train.y, prior_var=config.prior_var)
         return model, {"test": (test.X, test.y)}
@@ -80,28 +87,13 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
             hooks["posterior_var"] = lambda th, Z: float(Z.var(axis=0, ddof=1).mean())
     elif config.model == "logreg":
         X_test, y_test = extras["test"]
-        if len(y_test):
-            hooks["test_error"] = lambda th, Z: metrics.test_error(model.predict(Z, X_test), y_test)
+        hooks["test_error"] = lambda th, Z: metrics.test_error(model.predict(Z, X_test), y_test)
     elif config.model == "network":
         hooks["mean_log_joint"] = lambda th, Z: float(
             np.mean([model.log_joint(th, z) for z in Z])
         )
     hooks["theta_grad_norm"] = lambda th, Z: float(np.linalg.norm(model.mean_grad_theta(th, Z)))
     return hooks
-
-
-def _summary_metric_name(config: ExperimentConfig, recorded: dict[str, float]) -> str:
-    if config.sweep_metric is not None:
-        name = config.sweep_metric
-    elif config.model == "toy":
-        name = "theta_mse"
-    elif config.model == "logreg":
-        name = "test_error" if "test_error" in recorded else "theta_grad_norm"
-    else:
-        name = "mean_log_joint"
-    if name not in recorded:
-        raise ConfigError([f"summary metric {name!r} is not recorded for model {config.model!r}"])
-    return name
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
@@ -134,6 +126,9 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
     run_seed = derive_seed(config.seed, 1, config.run_index)
     model, extras = _build_model(config, data_seed)
     hooks = _metric_hooks(config, model, extras)
+    summary = config.sweep_metric or SUMMARY_METRICS[config.model]
+    if summary not in hooks:
+        raise ConfigError([f"summary metric {summary!r} is not recorded for model {config.model!r}"])
     run_config = config.run_config(seed=run_seed, metric_hooks=hooks)
     info = {
         "master_seed": config.seed,
@@ -172,13 +167,12 @@ def _run_single(config: ExperimentConfig) -> tuple[float, bool]:
     _write_sidecar(base + ".json", config, info)
     if info["diverged"]:
         return float("inf"), True
-    final_metrics = trace.records[-1].metrics
-    return final_metrics[_summary_metric_name(config, final_metrics)], False
+    return trace.records[-1].metrics[config.sweep_metric or SUMMARY_METRICS[config.model]], False
 
 
-def _sweep_point(config_dict: dict) -> float:
-    """Worker entry: run one grid point from its serialized config; returns its summary metric."""
-    return _run_single(ExperimentConfig(**config_dict))[0]
+def _sweep_point(config: ExperimentConfig) -> float:
+    """Worker entry: run one grid point; returns its summary metric."""
+    return _run_single(config)[0]
 
 
 def _point_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
@@ -209,10 +203,10 @@ def run_sweep(config: ExperimentConfig) -> str:
     points = _point_configs(config)
     workers = _worker_count(len(points))
     if workers <= 1:
-        finals = [_sweep_point(asdict(point)) for point in points]
+        finals = [_sweep_point(point) for point in points]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(_sweep_point, [asdict(p) for p in points]))
+            finals = list(pool.map(_sweep_point, points))
 
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, config.resolved_name() + "_sweep.csv")
@@ -244,14 +238,13 @@ def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if config.model == "network":
-            labels = info.get("node_labels", [])
+            labels = info["node_labels"]
             dim = config.embed_dim
             writer.writerow(["iteration", "particle", "node", "label"] + [f"c{d}" for d in range(dim)])
             for i, flat in enumerate(cloud):
                 positions = flat.reshape(-1, dim)
                 for node, pos in enumerate(positions):
-                    label = labels[node] if node < len(labels) else str(node)
-                    writer.writerow([iteration, i, node, label] + [repr(float(v)) for v in pos])
+                    writer.writerow([iteration, i, node, labels[node]] + [repr(float(v)) for v in pos])
         else:
             writer.writerow(["iteration", "particle"] + [f"z{d}" for d in range(cloud.shape[1])])
             for i, row in enumerate(cloud):
@@ -308,7 +301,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
     try:
-        config = parse_config(args.config, _overrides(args))
+        keys = read_config_file(args.config) if args.config is not None else {}
+        keys.update(_overrides(args))
+        if args.command != "sweep":  # run and dump are one run each, whatever sweep keys the file holds
+            keys = {key: value for key, value in keys.items() if key not in SWEEP_KEYS}
+        config = parse_config(None, keys)
         if args.command == "dump":
             logger.info("particle snapshot written to %s", dump_particles(config, at=args.at))
         elif args.command == "sweep":

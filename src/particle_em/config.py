@@ -20,6 +20,8 @@ logger = logging.getLogger(__name__)
 
 MODELS = ("toy", "logreg", "network")
 SWEEP_PARAMS = ("gamma", "particles")
+#: the keys only the ``sweep`` command reads
+SWEEP_KEYS = ("sweep_param", "sweep_values", "sweep_metric")
 
 #: keys whose absence triggers a logged notice about the default being used
 NOTICED_DEFAULTS = {"particles": 10, "iters": 500, "seed": 0}
@@ -75,7 +77,7 @@ class ExperimentConfig:
     def run_config(self, **overrides) -> RunConfig:
         """The optimizer settings as a RunConfig; ``overrides`` (seed, metric_hooks, ...) win."""
         settings = {name: getattr(self, name) for name in _RUN_FIELDS}
-        return RunConfig(n_particles=self.particles, n_iters=self.iters, **{**settings, **overrides})
+        return RunConfig(**{"n_particles": self.particles, "n_iters": self.iters, **settings, **overrides})
 
 
 _INT_KEYS = {"particles", "iters", "seed", "run_index", "record_every", "toy_dim", "embed_dim"}
@@ -162,10 +164,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     problems: list[str] = []
     if config.model not in MODELS:
         problems.append(f"model must be one of {MODELS}, got {config.model!r}")
-    # a gamma sweep runs every grid value as gamma; the first stands in for all here
-    # (a single run of a sweep config without gamma is refused by algorithms.run)
-    overrides = {"gamma": config.sweep_values[0]} if config.sweep_param == "gamma" and config.sweep_values else {}
-    problems.extend(validate_run(config.algorithm, config.run_config(**overrides)))
+    # a sweep runs each grid value in place of the swept field, and the sweep checks below cover
+    # every value, so a fixed valid value stands in for the field here
+    stand_in = {"gamma": {"gamma": 1.0}, "particles": {"n_particles": 1}}.get(config.sweep_param, {})
+    problems.extend(validate_run(config.algorithm, config.run_config(**stand_in)))
     if config.run_index < 0:
         problems.append(f"run_index must be >= 0, got {config.run_index}")
     if not 0.0 < config.test_fraction < 1.0:

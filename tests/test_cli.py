@@ -253,6 +253,16 @@ class TestRunCommand:
         code = main(["run", "--config", "/nonexistent/x.cfg"])
         assert code == 1
 
+    @pytest.mark.parametrize("command,written", [
+        ("run", ["toy_coin_em.csv", "toy_coin_em.json"]), ("dump", ["toy_coin_em_particles_final.csv"]),
+    ])
+    def test_sweep_keys_ignored(self, tmp_path, command, written):
+        # only sweep reads the sweep keys, so an unrecorded summary metric is no error here
+        text = "model = toy\nalgorithm = coin_em\nparticles = 2\niters = 3\nsweep_metric = nope\n"
+        out = tmp_path / "runs"
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == written
+
     def test_diverged_run_recorded_exit_zero(self, tmp_path):
         out = tmp_path / "runs"
         code = main([
@@ -357,13 +367,45 @@ class TestSweepCommand:
         assert (single / "toy_pgd_007.csv").read_bytes() == (tmp_path / "sweep" / "toy_pgd_007.csv").read_bytes()
 
     def test_run_on_sweep_config_requires_gamma(self, tmp_path, monkeypatch, capsys):
+        # the grid never stands in for gamma in a single run, so a missing CSV is never opened either
         monkeypatch.chdir(REPO_ROOT)
+        logreg = write_config(tmp_path, "model = logreg\nalgorithm = pgd\ndata_path = missing.csv\n"
+                                        "sweep_param = gamma\nsweep_values = 0.1,0.2\n")
         out = tmp_path / "single"
-        code = main(["run", "--config", os.path.join("configs", "toy_pgd_sweep.cfg"), "--seed", "3",
-                     "--run-index", "7", "--iters", "5", "--name", "toy_pgd_007", "--out", str(out)])
-        assert code == 2
-        assert "gamma is required" in capsys.readouterr().err
+        for cfg in (os.path.join("configs", "toy_pgd_sweep.cfg"), logreg):
+            code = main(["run", "--config", cfg, "--seed", "3",
+                         "--run-index", "7", "--iters", "5", "--name", "toy_pgd_007", "--out", str(out)])
+            assert code == 2
+            assert "gamma is required" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unrecorded_sweep_metric_rejected_before_any_point_runs(self, tmp_path, monkeypatch, capsys, workers):
+        out = tmp_path / "sweep"
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        args = self.sweep_config(tmp_path, "0.001,0.002,0.005,0.01", out) + ["--sweep-metric", "nope"]
+        assert main(args) == 2
+        assert "summary metric 'nope' is not recorded for model 'toy'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_metric_names_the_summary_column(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(self.sweep_config(tmp_path, "0.001,0.01", out) + ["--sweep-metric", "post_mean_mse"]) == 0
+        finals = [r["final_metric"] for r in read_rows(out / "toy_pgd_sweep.csv")]
+        for k, final in enumerate(finals):
+            trace = [r for r in read_rows(out / f"toy_pgd_{k:03d}.csv") if r["metric"] == "post_mean_mse"]
+            assert trace[-1]["iteration"] == "60" and final == trace[-1]["value"]
+
+    def test_particles_sweep_ignores_base_particle_count(self, tmp_path):
+        # no grid point runs with the base count, so an invalid one is no error
+        out = tmp_path / "sweep"
+        args = self.sweep_config(tmp_path, "2,5", out)
+        args[args.index("gamma")] = "particles"
+        args[args.index("--particles") + 1] = "0"
+        assert main(args + ["--gamma", "0.01"]) == 0
+        assert [r["sweep_value"] for r in read_rows(out / "toy_pgd_sweep.csv")] == ["2.0", "5.0"]
+        sidecars = [json.loads((out / f"toy_pgd_{k:03d}.json").read_text()) for k in (0, 1)]
+        assert [s["config"]["particles"] for s in sidecars] == [2, 5]
 
     @pytest.mark.parametrize("param,values", [("particles", "2,inf"), ("gamma", "0.01,nan")])
     def test_non_finite_grid_rejected_before_any_point_runs(self, tmp_path, capsys, param, values):
@@ -471,6 +513,19 @@ class TestLogregPipeline:
         assert errors and all(0.0 <= e <= 1.0 for e in errors)
         # training should not make the predictor worse than chance
         assert errors[-1] <= 0.5
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_too_few_rows_exit_code(self, tmp_path, capsys, rows):
+        # a header-only file cannot be split; one row leaves its test row and no training row
+        data = tmp_path / "lr.csv"
+        data.write_text("x0,label\n" + "0.5,1\n" * rows, encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["run", "--model", "logreg", "--algorithm", "adaptive_coin_em", "--iters", "3",
+                     "--data-path", str(data), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: {rows} data row(s) leave no training row at test_fraction 0.2" in err
+        assert not out.exists()
 
 
 def test_run_config_carries_every_optimizer_setting():

@@ -14,8 +14,11 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``adaptive_coin_em``;
 - cli: the trace CSVs (and sweep summaries) of the c10 command, of every
   ``configs/*.cfg`` (``sweep`` for a config that sets ``sweep_param``, else
-  ``run``) and of a small particles sweep; a logreg config reads a seeded
-  synthetic CSV in place of the clinical file the repository does not ship.
+  ``run``), of a small particles sweep and of ``run`` on grid point 7 of
+  ``configs/toy_pgd_sweep.cfg``; a logreg config reads a seeded synthetic CSV
+  in place of the clinical file the repository does not ship; and the
+  particle snapshots of ``dump --at init`` and ``--at final`` on the toy and
+  network configs.
 
 Each library run keeps every record's iteration, theta, particle mean and
 metrics, the initial and final particles, and the divergence iteration and
@@ -97,6 +100,13 @@ def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
             _synthetic_logreg_csv(data, keys.get("label_column", "label"), keys.get("positive_label", "1"))
             args += ["--data-path", str(data)]
         commands[cfg.stem] = args
+    for stem in ("toy_coin", "network_coin"):
+        for at in ("init", "final"):
+            commands[f"dump_{stem}_{at}"] = ["dump", "--config", f"configs/{stem}.cfg", "--at", at]
+    sweep_cfg = "configs/toy_pgd_sweep.cfg"
+    gamma = read_config_file(sweep_cfg)["sweep_values"].split(",")[7]
+    commands["toy_pgd_sweep_point"] = ["run", "--config", sweep_cfg, "--gamma", gamma, "--run-index", "7",
+                                       "--name", "toy_pgd_007"]
     extra = ["--iters", "5"] if tiny else []
     return {label: args + extra + ["--out", str(out / "cli" / label)] for label, args in commands.items()}
 
