@@ -96,17 +96,28 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
     return hooks
 
 
+def _summary_metric(config: ExperimentConfig) -> str:
+    """The final metric a sweep summarizes each grid point by."""
+    return config.sweep_metric or SUMMARY_METRICS[config.model]
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write one CLI CSV file, creating its directory."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_trace_csv(path: str, trace: Trace) -> None:
     # csv quotes a field for "\n" but not for a bare "\r", which a reader then takes for a line end
     bad = sorted(name for name in set().union(*(rec.metrics for rec in trace.records)) if "\r" in name)
     if bad:
         raise ValueError(f"metric name {bad[0]!r} contains a carriage return; the trace CSV cannot hold it")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "metric", "value"])
-        for rec in trace.records:
-            for name, value in rec.metrics.items():
-                writer.writerow([rec.iteration, name, repr(float(value))])
+    rows = ([rec.iteration, name, repr(float(value))]
+            for rec in trace.records for name, value in rec.metrics.items())
+    _write_csv(path, ["iteration", "metric", "value"], rows)
 
 
 def _write_sidecar(path: str, config: ExperimentConfig, info: dict) -> None:
@@ -125,11 +136,7 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
     data_seed = derive_seed(config.seed, 0)
     run_seed = derive_seed(config.seed, 1, config.run_index)
     model, extras = _build_model(config, data_seed)
-    hooks = _metric_hooks(config, model, extras)
-    summary = config.sweep_metric or SUMMARY_METRICS[config.model]
-    if summary not in hooks:
-        raise ConfigError([f"summary metric {summary!r} is not recorded for model {config.model!r}"])
-    run_config = config.run_config(seed=run_seed, metric_hooks=hooks)
+    run_config = config.run_config(seed=run_seed, metric_hooks=_metric_hooks(config, model, extras))
     info = {
         "master_seed": config.seed,
         "run_seed": run_seed,
@@ -161,13 +168,12 @@ def _run_single(config: ExperimentConfig) -> tuple[float, bool]:
     ``inf`` for diverged runs.
     """
     trace, info = execute_run(config)
-    os.makedirs(config.output_dir, exist_ok=True)
     base = os.path.join(config.output_dir, config.resolved_name())
-    _write_trace_csv(base + ".csv", trace)
+    _write_trace_csv(base + ".csv", trace)  # first: it creates the output directory
     _write_sidecar(base + ".json", config, info)
     if info["diverged"]:
         return float("inf"), True
-    return trace.records[-1].metrics[config.sweep_metric or SUMMARY_METRICS[config.model]], False
+    return trace.records[-1].metrics[_summary_metric(config)], False
 
 
 def _sweep_point(config: ExperimentConfig) -> float:
@@ -202,19 +208,23 @@ def run_sweep(config: ExperimentConfig) -> str:
     """Run every grid point and write the summary CSV; returns its path."""
     points = _point_configs(config)
     workers = _worker_count(len(points))
+    # before any point runs: the hooks depend on the model and the particle count only, and every
+    # point shares the data seed, so one model build serves each distinct count
+    summary = _summary_metric(config)
+    model, extras = _build_model(config, derive_seed(config.seed, 0))
+    for point in {point.particles: point for point in points}.values():
+        if summary not in _metric_hooks(point, model, extras):
+            raise ConfigError([f"summary metric {summary!r} is not recorded for model {config.model!r} "
+                               f"at {point.particles} particle(s)"])
     if workers <= 1:
         finals = [_sweep_point(point) for point in points]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             finals = list(pool.map(_sweep_point, points))
 
-    os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, config.resolved_name() + "_sweep.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sweep_value", "final_metric"])
-        for value, metric in zip(config.sweep_values, finals):
-            writer.writerow([repr(float(value)), repr(metric)])
+    rows = ([repr(float(value)), repr(metric)] for value, metric in zip(config.sweep_values, finals))
+    _write_csv(summary_path, ["sweep_value", "final_metric"], rows)
     return summary_path
 
 
@@ -222,33 +232,28 @@ def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
     """Run the experiment and write a particle snapshot CSV; returns its path.
 
     ``at`` selects the snapshot: 'init' for iteration 0, 'final' for the last
-    iteration reached. Network snapshots get one row per (particle, node) with
-    the node label; other models one row per particle.
+    iteration reached (t - 1 on a run that diverged at step t). Network snapshots
+    get one row per (particle, node) with the node label; other models one row
+    per particle.
     """
     if at not in ("init", "final"):
         raise ConfigError([f"snapshot must be 'init' or 'final', got {at!r}"])
     trace, info = execute_run(config)
-    if at == "init":
-        cloud, iteration = trace.initial_particles, 0
-    else:
-        cloud, iteration = trace.final_particles, trace.records[-1].iteration
+    cloud, iteration = trace.initial_particles, 0
+    if at == "final":  # a diverged run keeps the cloud from before the step that diverged
+        cloud = trace.final_particles
+        iteration = info["diverged_at"] - 1 if info["diverged"] else trace.records[-1].iteration
 
-    os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, config.resolved_name() + f"_particles_{at}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if config.model == "network":
-            labels = info["node_labels"]
-            dim = config.embed_dim
-            writer.writerow(["iteration", "particle", "node", "label"] + [f"c{d}" for d in range(dim)])
-            for i, flat in enumerate(cloud):
-                positions = flat.reshape(-1, dim)
-                for node, pos in enumerate(positions):
-                    writer.writerow([iteration, i, node, labels[node]] + [repr(float(v)) for v in pos])
-        else:
-            writer.writerow(["iteration", "particle"] + [f"z{d}" for d in range(cloud.shape[1])])
-            for i, row in enumerate(cloud):
-                writer.writerow([iteration, i] + [repr(float(v)) for v in row])
+    if config.model == "network":
+        labels, dim = info["node_labels"], config.embed_dim
+        header = ["iteration", "particle", "node", "label"] + [f"c{d}" for d in range(dim)]
+        rows = ([iteration, i, node, labels[node]] + [repr(float(v)) for v in pos]
+                for i, flat in enumerate(cloud) for node, pos in enumerate(flat.reshape(-1, dim)))
+    else:
+        header = ["iteration", "particle"] + [f"z{d}" for d in range(cloud.shape[1])]
+        rows = ([iteration, i] + [repr(float(v)) for v in row] for i, row in enumerate(cloud))
+    _write_csv(path, header, rows)
     return path
 
 

@@ -24,7 +24,7 @@ SWEEP_PARAMS = ("gamma", "particles")
 SWEEP_KEYS = ("sweep_param", "sweep_values", "sweep_metric")
 
 #: keys whose absence triggers a logged notice about the default being used
-NOTICED_DEFAULTS = {"particles": 10, "iters": 500, "seed": 0}
+NOTICED_DEFAULTS = ("particles", "iters", "seed")
 
 
 @dataclass
@@ -80,32 +80,25 @@ class ExperimentConfig:
         return RunConfig(**{"n_particles": self.particles, "n_iters": self.iters, **settings, **overrides})
 
 
-_INT_KEYS = {"particles", "iters", "seed", "run_index", "record_every", "toy_dim", "embed_dim"}
-_FLOAT_KEYS = {"gamma", "bandwidth", "theta_true", "test_fraction", "prior_var", "prior_var_z"}
-_BOOL_KEYS = {"freeze_bandwidth", "particle_grads_use_new_theta"}
-_LIST_KEYS = {"sweep_values"}
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 #: the optimizer settings that RunConfig holds under the same name
 _RUN_FIELDS = ("gamma", "record_every", "bandwidth", "freeze_bandwidth", "adaptive_denominator",
                "particle_grads_use_new_theta")
 
 
-def _convert(key: str, raw: str):
-    text = raw.strip()
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _BOOL_KEYS:
-        lowered = text.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
-    if key in _LIST_KEYS:
-        return [float(v) for v in text.split(",") if v.strip()]
-    return text
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+#: the parser of each annotation a config field has; ``X | None`` parses as X
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
+                 "list[float]": lambda text: [float(v) for v in text.split(",") if v.strip()]}
+#: how each key's text becomes its value: the parser of its ExperimentConfig field's annotation
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -139,17 +132,19 @@ def parse_config(path: str | None = None, overrides: Mapping[str, object] | None
 
     values: dict[str, object] = {}
     for key, value in raw.items():
-        if key not in _KNOWN_KEYS:
+        parse = _PARSERS.get(key)
+        if parse is None:
             violations.append(f"unknown config key {key!r}")
             continue
         try:
-            values[key] = _convert(key, value) if isinstance(value, str) else value
+            values[key] = parse(value.strip()) if isinstance(value, str) else value
         except ValueError as err:
             violations.append(f"bad value for {key!r}: {err}")
 
-    for key, default in NOTICED_DEFAULTS.items():
-        if key not in values:
-            logger.info("config key %r not given, using default %r", key, default)
+    for key in NOTICED_DEFAULTS:
+        # a sweep runs its grid values in place of the swept key, so its default never runs
+        if key not in values and key != values.get("sweep_param"):
+            logger.info("config key %r not given, using default %r", key, getattr(ExperimentConfig, key))
 
     config = ExperimentConfig(**values) if not violations else None
     if config is not None:

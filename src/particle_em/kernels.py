@@ -88,10 +88,10 @@ def pairwise_sq_dists(particles: np.ndarray) -> np.ndarray:
 def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None) -> float:
     """Bandwidth h = med^2 / ln(N), med the median pair distance.
 
-    Falls back to h = 1.0 when there are no pairs (N = 1), when all particles
-    coincide (med = 0), or when ln(N) = 0. Even pair counts use the mean of
-    the two middle order statistics. ``pair_sq``, if given, must equal
-    ``pair_sq_dists(particles)``; it saves recomputing the distances.
+    Falls back to h = 1.0 when there are no pairs (N = 1) or when all particles
+    coincide (med = 0). Even pair counts use the mean of the two middle order
+    statistics. ``pair_sq``, if given, must equal ``pair_sq_dists(particles)``;
+    it saves recomputing the distances.
     """
     z = np.asarray(particles, dtype=np.float64)
     n = z.shape[0]
@@ -107,10 +107,9 @@ def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None
     part = np.partition(pair_sq, k)
     upper = part[k] if m % 2 else part[k + 1:].min()
     med = (math.sqrt(part[k]) + math.sqrt(upper)) / 2.0
-    log_n = np.log(n)
-    if med == 0.0 or log_n == 0.0:
+    if med == 0.0:
         return 1.0
-    return med * med / log_n
+    return med * med / np.log(n)
 
 
 def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None) -> np.ndarray:

@@ -59,6 +59,16 @@ class TestParseConfig:
         assert cfg.particles == 10
         assert any("particles" in rec.message for rec in caplog.records)
 
+    def test_swept_key_gets_no_default_notice(self, caplog):
+        # a particles sweep runs its grid counts, never the default one
+        overrides = {"model": "toy", "algorithm": "pgd", "gamma": 0.1, "sweep_param": "particles",
+                     "sweep_values": "2,5"}
+        with caplog.at_level("INFO", logger="particle_em.config"):
+            parse_config(None, overrides)
+        assert [rec.message for rec in caplog.records] == [
+            "config key 'iters' not given, using default 500", "config key 'seed' not given, using default 0",
+        ]
+
     def test_gamma_forbidden_for_coin(self, tmp_path):
         with pytest.raises(ConfigError, match="gamma is forbidden"):
             parse_config(None, {"model": "toy", "algorithm": "coin_em", "gamma": 0.1})
@@ -112,6 +122,71 @@ class TestParseConfig:
         overrides = {"model": "toy", "algorithm": "pgd", "gamma": "0.1", key: "nan"}
         with pytest.raises(ConfigError, match=f"{key} must be a finite positive number, got nan"):
             parse_config(None, overrides)
+
+
+#: (key, its text in a config file, the parsed value); every ExperimentConfig field has a case
+FIELD_CASES = [
+    ("model", "toy", "toy"),
+    ("algorithm", "svgd_em", "svgd_em"),
+    ("particles", "7", 7),
+    ("iters", "3", 3),
+    ("gamma", "0.25", 0.25),
+    ("seed", "12", 12),
+    ("run_index", "2", 2),
+    ("record_every", "5", 5),
+    ("output_dir", "out dir", "out dir"),
+    ("name", "my_run", "my_run"),
+    ("bandwidth", "1e-3", 1e-3),
+    ("freeze_bandwidth", "yes", True),
+    ("freeze_bandwidth", "0", False),
+    ("adaptive_denominator", "bnn", "bnn"),
+    ("particle_grads_use_new_theta", "False", False),
+    ("particle_grads_use_new_theta", "1", True),
+    ("sweep_param", "gamma", "gamma"),
+    ("sweep_values", "0.1, 2,,1e3", [0.1, 2.0, 1000.0]),
+    ("sweep_metric", "post_mean_mse", "post_mean_mse"),
+    ("toy_dim", "4", 4),
+    ("theta_true", "-2.5", -2.5),
+    ("data_path", "data/x.csv", "data/x.csv"),
+    ("label_column", "y", "y"),
+    ("positive_label", "yes", "yes"),  # a string key keeps a boolean-looking text
+    ("test_fraction", "0.5", 0.5),
+    ("prior_var", "2", 2.0),
+    ("edgelist_path", "edges.txt", "edges.txt"),
+    ("labels_path", "labels.txt", "labels.txt"),
+    ("embed_dim", "3", 3),
+    ("prior_var_z", "inf", math.inf),
+    ("link_sign", "plus", "plus"),
+]
+
+
+def test_field_cases_cover_every_key():
+    assert {key for key, _, _ in FIELD_CASES} == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key,text,expected", FIELD_CASES, ids=[f"{k}={t}" for k, t, _ in FIELD_CASES])
+def test_key_parsed_from_file_text(tmp_path, key, text, expected):
+    # the base lines make a valid toy run for any one key; a later line wins over an earlier one
+    base = "model = toy\nalgorithm = pgd\ngamma = 0.1\nsweep_values = 0.2\n"
+    cfg = parse_config(write_config(tmp_path, f"{base}{key} = {text}\n"))
+    value = getattr(cfg, key)
+    assert value == expected and type(value) is type(expected)
+    if key == "sweep_values":
+        assert all(type(v) is float for v in value)
+
+
+@pytest.mark.parametrize("key,text,message", [
+    ("freeze_bandwidth", "maybe", "expected a boolean, got 'maybe'"),
+    ("particle_grads_use_new_theta", "", "expected a boolean, got ''"),
+    ("particles", "2.5", "invalid literal for int()"),
+    ("gamma", "fast", "could not convert string to float"),
+    ("sweep_values", "0.1,x", "could not convert string to float"),
+])
+def test_bad_key_text_rejected(tmp_path, key, text, message):
+    path = write_config(tmp_path, f"model = toy\nalgorithm = pgd\ngamma = 0.1\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=f"bad value for '{key}': ") as err:
+        parse_config(path)
+    assert message in str(err.value)
 
 
 class TestDeriveSeed:
@@ -380,6 +455,18 @@ class TestSweepCommand:
             assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_summary_metric_checked_at_every_particle_count(self, tmp_path, monkeypatch, capsys, workers):
+        # posterior_var needs two particles, so grid value 1 refuses the sweep before point 0 runs
+        out = tmp_path / "sweep"
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        args = ["sweep", "--model", "toy", "--algorithm", "coin_em", "--iters", "3", "--sweep-param", "particles",
+                "--sweep-values", "5,1", "--sweep-metric", "posterior_var", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "summary metric 'posterior_var' is not recorded for model 'toy' at 1 particle(s)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unrecorded_sweep_metric_rejected_before_any_point_runs(self, tmp_path, monkeypatch, capsys, workers):
         out = tmp_path / "sweep"
         monkeypatch.setenv(cli.WORKERS_ENV, workers)
@@ -397,12 +484,13 @@ class TestSweepCommand:
             assert trace[-1]["iteration"] == "60" and final == trace[-1]["value"]
 
     def test_particles_sweep_ignores_base_particle_count(self, tmp_path):
-        # no grid point runs with the base count, so an invalid one is no error
+        # no grid point runs with the base count, so an invalid one is no error, nor is a summary
+        # metric that the base count would not record
         out = tmp_path / "sweep"
         args = self.sweep_config(tmp_path, "2,5", out)
         args[args.index("gamma")] = "particles"
         args[args.index("--particles") + 1] = "0"
-        assert main(args + ["--gamma", "0.01"]) == 0
+        assert main(args + ["--gamma", "0.01", "--sweep-metric", "posterior_var"]) == 0
         assert [r["sweep_value"] for r in read_rows(out / "toy_pgd_sweep.csv")] == ["2.0", "5.0"]
         sidecars = [json.loads((out / f"toy_pgd_{k:03d}.json").read_text()) for k in (0, 1)]
         assert [s["config"]["particles"] for s in sidecars] == [2, 5]
@@ -476,6 +564,18 @@ class TestDumpCommand:
         assert len(rows) == 3 * 4  # one row per (particle, node)
         assert set(rows[0]) == {"iteration", "particle", "node", "label", "c0", "c1"}
         assert {r["label"] for r in rows} == {"a", "b", "c", "d"}
+
+    def test_diverged_final_snapshot_labelled_with_its_step(self, tmp_path):
+        # divergence at step 84 with record_every 10: the last record is 80, the cloud is from step 83
+        cfg = parse_config(None, {
+            "model": "toy", "algorithm": "pgd", "gamma": 50.0, "particles": 3, "iters": 200,
+            "record_every": 10, "seed": 2, "output_dir": str(tmp_path),
+        })
+        trace, info = cli.execute_run(cfg)
+        assert info["diverged_at"] == 84 and trace.records[-1].iteration == 80
+        rows = read_rows(dump_particles(cfg, at="final"))
+        assert {r["iteration"] for r in rows} == {"83"}
+        assert [float(r["z0"]) for r in rows] == trace.final_particles[:, 0].tolist()
 
     def test_dump_via_cli(self, tmp_path):
         code = main([

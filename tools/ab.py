@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=24.0, help="--seconds of each benchmark run")
     parser.add_argument("--seed", type=int, default=1000, help="seed of the first pair; each pair adds one")
     parser.add_argument("--tag", help="file tag (default: the change's short commit hash)")
-    parser.add_argument("--out", default=str(ROOT), help="directory for BENCH_<tag>.json")
+    parser.add_argument("--out", default=str(ROOT), help="directory for BENCH_<tag>.json (created if missing)")
     parser.add_argument("--tiny", action="store_true", help="tiny shapes, for the smoke test")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}; choose from {names}")
     tag = args.tag or (commit_of(args.change)[:7] if args.change else working_tree_label())
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the first pair, so a bad path costs no runs
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     report = {"tag": tag, "started": started, "seconds": args.seconds, "tiny": args.tiny, "workloads": {}}
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
                                  for side in ("parent", "change")}}
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    path = Path(args.out) / f"BENCH_{tag}.json"
+    path = out / f"BENCH_{tag}.json"
     path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, entry in report["workloads"].items():
         for name, row in entry["summary"].items():

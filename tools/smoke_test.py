@@ -4,10 +4,11 @@
 
 ``capture.py HEAD --change HEAD --tiny`` must compare every group and find
 nothing that differs. ``ab.py HEAD --change HEAD`` on one tiny workload and
-one pair must write a BENCH file with both sides of the pair, a summary for
-every end-to-end metric of BENCHMARK.json, and the same ``ref_gap`` on both
-sides, since both run the same code on the same seed. Timing metrics are not
-compared: at tiny sizes they are noise.
+one pair must write a BENCH file, into an ``--out`` directory that does not
+exist yet, with both sides of the pair, a summary for every end-to-end metric
+of BENCHMARK.json, and the same ``ref_gap`` on both sides, since both run the
+same code on the same seed. Timing metrics are not compared: at tiny sizes
+they are noise.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ def test_capture_finds_nothing_between_head_and_itself():
 
 def test_ab_writes_a_bench_file():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "not-yet"  # ab.py creates the directory
         proc = _tool("tools/ab.py", "HEAD", "--change", "HEAD", "--workloads", "toy-posterior",
-                     "--pairs", "1", "--seconds", "0.5", "--tiny", "--tag", "smoke", "--out", out)
+                     "--pairs", "1", "--seconds", "0.5", "--tiny", "--tag", "smoke", "--out", str(out))
         assert proc.returncode == 0, proc.stderr[-2000:]
-        report = json.loads((Path(out) / "BENCH_smoke.json").read_text())
+        report = json.loads((out / "BENCH_smoke.json").read_text())
     assert report["env"] and report["parent"] and report["change"]
     entry = report["workloads"]["toy-posterior"]
     (pair,) = entry["pairs"]
