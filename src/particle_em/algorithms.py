@@ -241,6 +241,8 @@ class Trace:
 
     records: list[TraceRecord] = field(default_factory=list)
     initial_particles: np.ndarray | None = None
+    # the state of the last completed step: on divergence, of the step before the one that diverged
+    final_theta: np.ndarray | None = None
     final_particles: np.ndarray | None = None
 
     def iterations(self) -> np.ndarray:
@@ -292,8 +294,8 @@ class RunConfig:
 def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) -> list[str]:
     """Return every problem with running ``algorithm`` under ``config``.
 
-    Given the ``model``, also check that a marginal algorithm's M-step exists
-    and that an explicit ``init`` fits the model.
+    Given the ``model``, also check that the cloud's size can exist, that a
+    marginal algorithm's M-step exists and that an explicit ``init`` fits the model.
     """
     problems = []
     rules = ALGORITHMS.get(algorithm)
@@ -318,6 +320,9 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
         problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth}")
     if model is None:
         return problems
+    n = config.n_particles
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and int(n) * model.d_z > np.iinfo(np.intp).max:
+        problems.append(f"n_particles x d_z = {n} x {model.d_z} is more values than one array can hold")
     if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
     if config.init is not None:
@@ -378,9 +383,9 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
         try:
             state = step_fn(state, model, *args, **options)
         except DivergedError as err:
-            trace.final_particles = state.particles.copy()
+            trace.final_theta, trace.final_particles = state.theta.copy(), state.particles.copy()
             raise DivergedError(str(err), iteration=t, trace=trace) from None
         if t % config.record_every == 0 or t == config.n_iters:
             record(t, state.theta, state.particles)
-    trace.final_particles = state.particles.copy()
+    trace.final_theta, trace.final_particles = state.theta.copy(), state.particles.copy()
     return trace

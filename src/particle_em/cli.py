@@ -82,9 +82,30 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
         theta_star = model.theta_star()
         post_mean, _ = model.posterior_moments(theta_star)
         hooks["theta_mse"] = lambda th, Z: float((th[0] - theta_star) ** 2)
-        hooks["post_mean_mse"] = lambda th, Z: metrics.mse(Z.mean(axis=0), post_mean)
+        # run hands every hook of a record the same cloud object, so the hooks take its mean once a
+        # record; the memo holds the cloud itself, so a later cloud can never share its identity
+        last = {}
+
+        def cloud_mean(Z):
+            if last.get("cloud") is not Z:
+                last["cloud"], last["mean"] = Z, np.add.reduce(Z, 0) / Z.shape[0]
+            return last["mean"]
+
+        def post_mean_mse(th, Z):  # metrics.mse(Z.mean(axis=0), post_mean) bit for bit
+            diff = cloud_mean(Z) - post_mean
+            diff *= diff
+            return float(np.add.reduce(diff) / diff.size)
+
+        def posterior_var(th, Z):  # Z.var(axis=0, ddof=1).mean() bit for bit, in numpy's _var order
+            dev = Z - cloud_mean(Z)
+            dev *= dev
+            var = np.add.reduce(dev, 0)
+            var /= Z.shape[0] - 1
+            return float(np.add.reduce(var) / var.size)
+
+        hooks["post_mean_mse"] = post_mean_mse
         if config.particles >= 2:
-            hooks["posterior_var"] = lambda th, Z: float(Z.var(axis=0, ddof=1).mean())
+            hooks["posterior_var"] = posterior_var
     elif config.model == "logreg":
         X_test, y_test = extras["test"]
         hooks["test_error"] = lambda th, Z: metrics.test_error(model.predict(Z, X_test), y_test)
@@ -92,7 +113,12 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
         hooks["mean_log_joint"] = lambda th, Z: float(
             np.mean([model.log_joint(th, z) for z in Z])
         )
-    hooks["theta_grad_norm"] = lambda th, Z: float(np.linalg.norm(model.mean_grad_theta(th, Z)))
+
+    def theta_grad_norm(th, Z):  # np.linalg.norm's own arithmetic on a vector, without its dispatch
+        grad = model.mean_grad_theta(th, Z)
+        return math.sqrt(grad.dot(grad))
+
+    hooks["theta_grad_norm"] = theta_grad_norm
     return hooks
 
 
@@ -127,6 +153,20 @@ def _write_sidecar(path: str, config: ExperimentConfig, info: dict) -> None:
         fh.write("\n")
 
 
+def _versions() -> dict:
+    """What the trace bytes depend on: the package and numpy versions, numpy's BLAS build and the
+    CPU features numpy dispatches on; ``blas`` and ``cpu_features`` are None where numpy does not say."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        build = {}
+    blas = build.get("Build Dependencies", {}).get("blas", {})
+    features = build.get("SIMD Extensions", {}).get("found")
+    return {"particle_em": __version__, "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}" if blas.get("name") and blas.get("version") else None,
+            "cpu_features": None if features is None else list(features)}
+
+
 def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
     """Run one experiment in memory; returns (trace, run info).
 
@@ -143,8 +183,7 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
         "data_seed": data_seed,
         "diverged": False,
         "diverged_at": None,
-        # trace bytes are reproducible for the same package version and numpy/BLAS build
-        "versions": {"particle_em": __version__, "numpy": np.__version__},
+        "versions": _versions(),
     }
     if extras.get("node_labels"):
         info["node_labels"] = extras["node_labels"]
@@ -157,7 +196,7 @@ def execute_run(config: ExperimentConfig) -> tuple[Trace, dict]:
         info["diverged"] = True
         info["diverged_at"] = err.iteration
     info["wall_clock_s"] = time.perf_counter() - started
-    info["final_theta"] = [float(v) for v in trace.records[-1].theta]
+    info["final_theta"] = [float(v) for v in trace.final_theta]  # the last completed step, as in dump
     return trace, info
 
 
@@ -328,6 +367,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

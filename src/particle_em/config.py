@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -163,6 +164,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     # every value, so a fixed valid value stands in for the field here
     stand_in = {"gamma": {"gamma": 1.0}, "particles": {"n_particles": 1}}.get(config.sweep_param, {})
     problems.extend(validate_run(config.algorithm, config.run_config(**stand_in)))
+    if config.name in (".", "..") or any(sep and sep in config.name for sep in (os.sep, os.altsep)):
+        problems.append(f"name must be a file basename, without a path, got {config.name!r}")
     if config.run_index < 0:
         problems.append(f"run_index must be >= 0, got {config.run_index}")
     if not 0.0 < config.test_fraction < 1.0:

@@ -37,6 +37,12 @@ class GaussianHierarchicalModel(Model):
         z = as_particles(particles, self.d_z)
         return (z - t).sum(axis=1, keepdims=True)
 
+    def mean_grad_theta(self, theta, particles) -> np.ndarray:
+        # grad_theta(...).mean(axis=0) bit for bit, in the ufunc calls that mean makes
+        t = as_theta(theta, 1)[0]
+        z = as_particles(particles, self.d_z)
+        return np.true_divide(np.add.reduce(np.add.reduce(z - t, 1, keepdims=True), 0), z.shape[0])
+
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)

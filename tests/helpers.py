@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from particle_em.models import sigmoid, softplus
+from particle_em.metrics import mse
+from particle_em.models import GaussianHierarchicalModel, sigmoid, softplus
 from particle_em.models.base import Model
 
 
@@ -142,6 +144,38 @@ def network_grad_z_naive(model, theta, particles):
             grad_pos -= pos / model.prior_var_z
         out[k] = grad_pos.ravel()
     return out
+
+
+@st.composite
+def toy_problems(draw, max_n=40, max_d=300, specials=True):
+    """(toy model, theta, cloud): N in 1..max_n, d in 1..max_d, values of magnitude 1e-8 to 1e8
+    around an offset and, with ``specials``, up to three entries of +-inf or nan in the cloud."""
+    n, d = draw(st.integers(1, max_n)), draw(st.integers(1, max_d))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = scale * (rng.standard_normal((n, d)) + draw(st.floats(-3.0, 3.0)))
+    if specials:
+        for value in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
+            z[rng.integers(n), rng.integers(d)] = value
+    model = GaussianHierarchicalModel(scale * rng.standard_normal(d))
+    return model, np.array([scale * draw(st.floats(-3.0, 3.0))]), z
+
+
+def mean_grad_theta_base(model, theta, particles):
+    """The base class's particle average of the parameter gradient: grad_theta(...).mean(axis=0)."""
+    return Model.mean_grad_theta(model, theta, particles)
+
+
+def toy_hooks_naive(model, theta, particles):
+    """The CLI toy hooks by their plain formulas: the mse of the particle mean against the posterior
+    mean at theta*, the mean unbiased variance (N >= 2 only) and the norm of the base-class gradient."""
+    z = np.asarray(particles, dtype=np.float64)
+    post_mean, _ = model.posterior_moments(model.theta_star())
+    values = {"post_mean_mse": mse(z.mean(axis=0), post_mean),
+              "theta_grad_norm": float(np.linalg.norm(mean_grad_theta_base(model, theta, z)))}
+    if z.shape[0] >= 2:
+        values["posterior_var"] = float(z.var(axis=0, ddof=1).mean())
+    return values
 
 
 class ConstantGradientModel(Model):

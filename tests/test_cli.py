@@ -15,8 +15,10 @@ import particle_em
 from particle_em import cli
 from particle_em.algorithms import RunConfig, Trace, TraceRecord
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
-from particle_em.config import ExperimentConfig, parse_config
+from particle_em.config import ExperimentConfig, parse_config, validate
 from particle_em.exceptions import ConfigError
+from particle_em.models import GaussianHierarchicalModel
+from helpers import assert_bitwise_equal, toy_hooks_naive, toy_problems
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -215,7 +217,63 @@ class TestRunCommand:
         out = tmp_path / "runs"
         assert main(["run", "--config", write_config(tmp_path, TOY_CFG), "--out", str(out)]) == 0
         sidecar = json.loads((out / "toy_adaptive_coin_em.json").read_text())
-        assert sidecar["versions"] == {"particle_em": particle_em.__version__, "numpy": np.__version__}
+        build = np.show_config(mode="dicts")
+        blas = build["Build Dependencies"]["blas"]
+        assert sidecar["versions"] == {"particle_em": particle_em.__version__, "numpy": np.__version__,
+                                       "blas": f"{blas['name']} {blas['version']}",
+                                       "cpu_features": build["SIMD Extensions"]["found"]}
+
+    @pytest.mark.parametrize("show_config", [lambda mode: {}, lambda: None], ids=["unreported", "no-dict-mode"])
+    def test_versions_unreported_by_numpy_are_none(self, monkeypatch, show_config):
+        monkeypatch.setattr(cli.np, "show_config", show_config)
+        versions = cli._versions()
+        assert versions["blas"] is None and versions["cpu_features"] is None
+        assert versions["numpy"] == np.__version__
+
+    def test_diverged_sidecar_theta_is_the_last_completed_step(self, tmp_path):
+        # divergence at step 84 with record_every 10: the last record is 80, the last completed step 83
+        args = ["run", "--model", "toy", "--algorithm", "pgd", "--gamma", "50", "--particles", "3",
+                "--record-every", "10", "--seed", "2", "--out", str(tmp_path)]
+        assert main(args + ["--iters", "200", "--name", "diverged"]) == 0
+        assert main(args + ["--iters", "83", "--name", "stopped"]) == 0
+        diverged, stopped = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("diverged", "stopped"))
+        assert diverged["diverged_at"] == 84 and not stopped["diverged"]
+        assert diverged["final_theta"] == stopped["final_theta"]
+        recorded = [float(r["value"]) for r in read_rows(tmp_path / "diverged.csv") if r["metric"] == "theta"]
+        assert recorded[-1] != diverged["final_theta"][0]
+
+    def test_path_in_name_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "DIR"
+        code = main(["run", "--model", "toy", "--algorithm", "coin_em", "--iters", "3",
+                     "--name", "a/b/../../../x", "--out", str(out)])
+        assert code == 2
+        assert "name must be a file basename" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name,ok", [(".", False), ("..", False), ("a/b", False), ("/x", False),
+                                         ("...", True), ("a.b", True), ("a..b", True)])
+    def test_name_must_be_a_basename(self, name, ok):
+        problems = validate(ExperimentConfig(model="toy", algorithm="coin_em", name=name))
+        assert any("name must be a file basename" in p for p in problems) is not ok
+
+    def test_impossible_cloud_size_is_a_config_error(self, tmp_path, capsys):
+        code = main(["run", "--model", "toy", "--algorithm", "svgd_em", "--gamma", "0.1",
+                     "--particles", "100000000000000000000", "--out", str(tmp_path)])
+        assert code == 2
+        assert "n_particles x d_z = 100000000000000000000 x 100" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_is_reported_without_traceback(self, tmp_path, monkeypatch, capsys):
+        message = "Unable to allocate 2.18 TiB for an array with shape (3000000000, 100) and data type float64"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run", out_of_memory)  # never allocate for real
+        code = main(["run", "--model", "toy", "--algorithm", "coin_em", "--iters", "3", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path, TOY_CFG)
@@ -348,6 +406,33 @@ class TestRunCommand:
         sidecar = json.loads((out / "toy_pgd.json").read_text())
         assert sidecar["diverged"] is True
         assert sidecar["diverged_at"] >= 1
+
+
+class TestToyMetricHooks:
+    @staticmethod
+    def hooks(model, n_particles):
+        return cli._metric_hooks(ExperimentConfig(model="toy", particles=n_particles), model, {})
+
+    @given(toy_problems())
+    def test_hooks_match_plain_formulas(self, problem):
+        model, theta, z = problem
+        hooks = self.hooks(model, z.shape[0])
+        with np.errstate(all="ignore"):
+            expected = toy_hooks_naive(model, theta, z)
+            got = {name: hooks[name](theta, z) for name in expected}
+        assert set(expected) == set(hooks) - {"theta", "theta_mse"}
+        for name, value in expected.items():
+            assert_bitwise_equal(got[name], value)
+
+    def test_each_cloud_gets_its_own_values(self):
+        # the hooks share one mean per cloud object: A, then B, then A again must not reuse B's
+        rng = np.random.default_rng(5)
+        model, theta = GaussianHierarchicalModel(rng.standard_normal(6)), np.array([0.4])
+        a, b = rng.standard_normal((4, 6)), 3.0 + rng.standard_normal((4, 6))
+        hooks = self.hooks(model, 4)
+        for z in (a, b, a, a.copy()):
+            expected = toy_hooks_naive(model, theta, z)
+            assert {name: hooks[name](theta, z) for name in expected} == expected
 
 
 class TestSweepCommand:

@@ -18,10 +18,12 @@ from particle_em.models import (
 from helpers import (
     assert_bitwise_equal,
     assert_gradients_match_fd,
+    mean_grad_theta_base,
     network_grad_theta_naive,
     network_grad_z_naive,
     network_log_joint_naive,
     planted_two_community_network,
+    toy_problems,
 )
 
 
@@ -69,6 +71,12 @@ class TestHierarchical:
         rng = np.random.default_rng(11)
         for _ in range(25):
             assert_gradients_match_fd(toy, rng.standard_normal(1), rng.standard_normal(4))
+
+    @given(toy_problems(max_n=300, max_d=30))
+    def test_mean_grad_theta_is_the_base_class_average(self, problem):
+        model, theta, z = problem
+        with np.errstate(all="ignore"):
+            assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
 
     def test_theta_star(self):
         m = GaussianHierarchicalModel([1.0, 2.0, 3.0])

@@ -14,8 +14,10 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``adaptive_coin_em``;
 - cli: the trace CSVs (and sweep summaries) of the c10 command, of every
   ``configs/*.cfg`` (``sweep`` for a config that sets ``sweep_param``, else
-  ``run``), of a small particles sweep and of ``run`` on grid point 7 of
-  ``configs/toy_pgd_sweep.cfg``; a logreg config reads a seeded synthetic CSV
+  ``run``), of a small particles sweep, of ``run`` on grid point 7 of
+  ``configs/toy_pgd_sweep.cfg`` and, recording every iteration, on its
+  diverging grid point 35, and of a one-particle toy ``pgd`` run recording
+  every iteration; a logreg config reads a seeded synthetic CSV
   in place of the clinical file the repository does not ship; and the
   particle snapshots of ``dump --at init`` and ``--at final`` on the toy and
   network configs.
@@ -104,9 +106,15 @@ def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
         for at in ("init", "final"):
             commands[f"dump_{stem}_{at}"] = ["dump", "--config", f"configs/{stem}.cfg", "--at", at]
     sweep_cfg = "configs/toy_pgd_sweep.cfg"
-    gamma = read_config_file(sweep_cfg)["sweep_values"].split(",")[7]
-    commands["toy_pgd_sweep_point"] = ["run", "--config", sweep_cfg, "--gamma", gamma, "--run-index", "7",
+    gammas = read_config_file(sweep_cfg)["sweep_values"].split(",")
+    commands["toy_pgd_sweep_point"] = ["run", "--config", sweep_cfg, "--gamma", gammas[7], "--run-index", "7",
                                        "--name", "toy_pgd_007"]
+    # every record of a run whose cloud overflows to inf on the way to divergence (at step 114)
+    commands["toy_pgd_sweep_diverging"] = ["run", "--config", sweep_cfg, "--gamma", gammas[35], "--run-index",
+                                           "35", "--record-every", "1", "--name", "toy_pgd_035"]
+    # one particle: the toy hooks without posterior_var
+    commands["toy_pgd_one_particle"] = ["run", "--model", "toy", "--algorithm", "pgd", "--gamma", "0.01",
+                                        "--particles", "1", "--iters", "100", "--record-every", "1", "--seed", "6"]
     extra = ["--iters", "5"] if tiny else []
     return {label: args + extra + ["--out", str(out / "cli" / label)] for label, args in commands.items()}
 
