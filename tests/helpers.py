@@ -147,16 +147,15 @@ def network_grad_z_naive(model, theta, particles):
 
 
 @st.composite
-def toy_problems(draw, max_n=40, max_d=300, specials=True):
+def toy_problems(draw, max_n=40, max_d=300):
     """(toy model, theta, cloud): N in 1..max_n, d in 1..max_d, values of magnitude 1e-8 to 1e8
-    around an offset and, with ``specials``, up to three entries of +-inf or nan in the cloud."""
+    around an offset, and up to three entries of +-inf or nan in the cloud."""
     n, d = draw(st.integers(1, max_n)), draw(st.integers(1, max_d))
     scale = 10.0 ** draw(st.floats(-8.0, 8.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = scale * (rng.standard_normal((n, d)) + draw(st.floats(-3.0, 3.0)))
-    if specials:
-        for value in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
-            z[rng.integers(n), rng.integers(d)] = value
+    for value in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
+        z[rng.integers(n), rng.integers(d)] = value
     model = GaussianHierarchicalModel(scale * rng.standard_normal(d))
     return model, np.array([scale * draw(st.floats(-3.0, 3.0))]), z
 
