@@ -28,7 +28,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__, metrics
-from .algorithms import Trace, run
+from .algorithms import Trace, run, validate_run
 from .config import SWEEP_KEYS, ExperimentConfig, parse_config, read_config_file
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
 from .exceptions import ConfigError, DivergedError, ParseError
@@ -57,10 +57,10 @@ def _build_model(config: ExperimentConfig, data_seed: int):
         return GaussianHierarchicalModel(x), {}
     if config.model == "logreg":
         dataset = load_csv(config.data_path, config.label_column, config.positive_label)
-        if dataset.n - math.ceil(dataset.n * config.test_fraction) < 1:
-            raise ParseError(f"{config.data_path}: {dataset.n} data row(s) leave no training row "
-                             f"at test_fraction {config.test_fraction}")
-        train, test = train_test_split(dataset, config.test_fraction, data_seed)
+        try:
+            train, test = train_test_split(dataset, config.test_fraction, data_seed)
+        except ValueError as err:
+            raise ParseError(f"{config.data_path}: {err}") from None
         model = BayesianLogisticRegression(train.X, train.y, prior_var=config.prior_var)
         return model, {"test": (test.X, test.y)}
     if config.model == "network":
@@ -247,14 +247,19 @@ def run_sweep(config: ExperimentConfig) -> str:
     """Run every grid point and write the summary CSV; returns its path."""
     points = _point_configs(config)
     workers = _worker_count(len(points))
-    # before any point runs: the hooks depend on the model and the particle count only, and every
-    # point shares the data seed, so one model build serves each distinct count
+    # before any point runs: the run checks and the hooks depend on the model and the particle count
+    # only, and every point shares the data seed, so one model build serves each distinct count
     summary = _summary_metric(config)
     model, extras = _build_model(config, derive_seed(config.seed, 0))
+    problems = []
     for point in {point.particles: point for point in points}.values():
-        if summary not in _metric_hooks(point, model, extras):
-            raise ConfigError([f"summary metric {summary!r} is not recorded for model {config.model!r} "
-                               f"at {point.particles} particle(s)"])
+        hooks = _metric_hooks(point, model, extras)
+        problems += validate_run(point.algorithm, point.run_config(metric_hooks=hooks), model)
+        if summary not in hooks:
+            problems.append(f"summary metric {summary!r} is not recorded for model {config.model!r} "
+                            f"at {point.particles} particle(s)")
+    if problems:
+        raise ConfigError(list(dict.fromkeys(problems)))
     if workers <= 1:
         finals = [_sweep_point(point) for point in points]
     else:
@@ -270,14 +275,14 @@ def run_sweep(config: ExperimentConfig) -> str:
 def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
     """Run the experiment and write a particle snapshot CSV; returns its path.
 
-    ``at`` selects the snapshot: 'init' for iteration 0, 'final' for the last
-    iteration reached (t - 1 on a run that diverged at step t). Network snapshots
-    get one row per (particle, node) with the node label; other models one row
-    per particle.
+    ``at`` selects the snapshot: 'init' for iteration 0 (the run then takes
+    no step), 'final' for the last iteration reached (t - 1 on a run that
+    diverged at step t). Network snapshots get one row per (particle, node)
+    with the node label; other models one row per particle.
     """
     if at not in ("init", "final"):
         raise ConfigError([f"snapshot must be 'init' or 'final', got {at!r}"])
-    trace, info = execute_run(config)
+    trace, info = execute_run(replace(config, iters=0) if at == "init" else config)
     cloud, iteration = trace.initial_particles, 0
     if at == "final":  # a diverged run keeps the cloud from before the step that diverged
         cloud = trace.final_particles

@@ -108,15 +108,15 @@ def train_test_split(
 ) -> tuple[TabularDataset, TabularDataset]:
     """Random split with ceil(n * test_fraction) test rows, deterministic per seed.
 
-    Feature normalization statistics (mean, population std) are computed on
-    the training rows and applied to both splits; constant columns fall back
-    to std = 1.
+    A split that leaves no training row is refused. Feature normalization
+    statistics (mean, population std) are computed on the training rows and
+    applied to both splits; constant columns fall back to std = 1.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if dataset.n == 0:
-        raise ValueError("cannot split an empty dataset")
     n_test = math.ceil(dataset.n * test_fraction)
+    if dataset.n - n_test < 1:
+        raise ValueError(f"{dataset.n} data row(s) leave no training row at test_fraction {test_fraction}")
     perm = np.random.default_rng(seed).permutation(dataset.n)
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 

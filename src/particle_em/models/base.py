@@ -15,12 +15,22 @@ import numpy as np
 
 from ..exceptions import MissingMStepError
 
+LOG_2PI = np.log(2.0 * np.pi)
+
 
 def as_theta(theta, d_theta: int) -> np.ndarray:
     """Coerce a scalar or array parameter to a float64 vector of length d_theta."""
     arr = np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel()
     if arr.shape != (d_theta,):
         raise ValueError(f"theta must have {d_theta} component(s), got shape {arr.shape}")
+    return arr
+
+
+def as_latent(z, d_z: int) -> np.ndarray:
+    """Coerce a single latent vector to a flat float64 array of length d_z."""
+    arr = np.asarray(z, dtype=np.float64).ravel()
+    if arr.size != d_z:
+        raise ValueError(f"latent vector must have length {d_z}, got {arr.size}")
     return arr
 
 
@@ -61,5 +71,6 @@ class Model(abc.ABC):
         """Default (theta0, particles0) initialization for optimization runs."""
 
     def mean_grad_theta(self, theta, particles) -> np.ndarray:
-        """Particle average of grad_theta, shape (d_theta,)."""
-        return self.grad_theta(theta, particles).mean(axis=0)
+        """Particle average of grad_theta, shape (d_theta,): the ufunc calls of .mean(axis=0), bit for bit."""
+        g = self.grad_theta(theta, particles)
+        return np.true_divide(np.add.reduce(g, 0), g.shape[0])

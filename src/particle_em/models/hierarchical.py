@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, as_particles, as_theta
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 
 
 class GaussianHierarchicalModel(Model):
@@ -27,21 +25,15 @@ class GaussianHierarchicalModel(Model):
 
     def log_joint(self, theta, z) -> float:
         t = as_theta(theta, 1)[0]
-        z = np.asarray(z, dtype=np.float64).ravel()
+        z = as_latent(z, self.d_z)
         return float(
-            -0.5 * np.sum((z - t) ** 2) - 0.5 * np.sum((self.x - z) ** 2) - self.d_z * _LOG_2PI
+            -0.5 * np.sum((z - t) ** 2) - 0.5 * np.sum((self.x - z) ** 2) - self.d_z * LOG_2PI
         )
 
     def grad_theta(self, theta, particles) -> np.ndarray:
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)
-        return (z - t).sum(axis=1, keepdims=True)
-
-    def mean_grad_theta(self, theta, particles) -> np.ndarray:
-        # grad_theta(...).mean(axis=0) bit for bit, in the ufunc calls that mean makes
-        t = as_theta(theta, 1)[0]
-        z = as_particles(particles, self.d_z)
-        return np.true_divide(np.add.reduce(np.add.reduce(z - t, 1, keepdims=True), 0), z.shape[0])
+        return np.add.reduce(z - t, 1, keepdims=True)  # .sum(axis=1, keepdims=True) without its dispatch
 
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_theta(theta, 1)[0]

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, as_particles, as_theta
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -58,11 +56,11 @@ class BayesianLogisticRegression(Model):
 
     def log_joint(self, theta, z) -> float:
         t = as_theta(theta, 1)[0]
-        z = np.asarray(z, dtype=np.float64).ravel()
+        z = as_latent(z, self.d_z)
         logits = self.X @ z
         loglik = float(np.sum(self.y * logits - softplus(logits)))
         prior = -0.5 * np.sum((z - t) ** 2) / self.prior_var
-        prior -= 0.5 * self.d_z * (_LOG_2PI + np.log(self.prior_var))
+        prior -= 0.5 * self.d_z * (LOG_2PI + np.log(self.prior_var))
         return loglik + prior
 
     def grad_theta(self, theta, particles) -> np.ndarray:

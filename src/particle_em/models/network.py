@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Model, as_particles, as_theta
+from ..kernels import _pair_table
+from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 from .logistic import sigmoid, softplus
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 #: distances below this are treated as coincident; the distance gradient is 0 there
 _COINCIDENT_TOL = 1e-12
+_INIT_ITERS, _INIT_STEP = 2000, 1e-2  # the fixed-step gradient ascent of default_init
 
 
 class LatentSpaceNetworkModel(Model):
@@ -50,20 +50,14 @@ class LatentSpaceNetworkModel(Model):
         self.prior_var_z = float(prior_var_z)
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
-        # pair table: the M = n(n-1)/2 node pairs i < j in row-major order, their
-        # edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
-        self._iu, self._ju = np.triu_indices(self.n_nodes, 1)
+        # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
+        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
+        self._iu, self._ju, slot = _pair_table(self.n_nodes)
         self._Y_pairs = Y[self._iu, self._ju]
-        m = self._iu.size
-        self._pair_slot = np.zeros(Y.shape, dtype=np.intp)
-        self._pair_slot[self._iu, self._ju] = np.arange(1, m + 1)
-        self._pair_slot[self._ju, self._iu] = np.arange(m + 1, 2 * m + 1)
+        self._pair_slot = slot + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
     def _positions(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64).ravel()
-        if z.size != self.d_z:
-            raise ValueError(f"latent vector must have length {self.d_z}, got {z.size}")
-        return z.reshape(self.n_nodes, self.embed_dim)
+        return as_latent(z, self.d_z).reshape(self.n_nodes, self.embed_dim)
 
     def _pair_geometry(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Differences pos_i - pos_j (M, e) and distances (M,) over the pairs i < j."""
@@ -77,7 +71,7 @@ class LatentSpaceNetworkModel(Model):
         total = float((self._Y_pairs * eta - softplus(eta)).sum())
         if np.isfinite(self.prior_var_z):
             total -= 0.5 * np.sum(pos * pos) / self.prior_var_z
-            total -= 0.5 * self.d_z * (_LOG_2PI + np.log(self.prior_var_z))
+            total -= 0.5 * self.d_z * (LOG_2PI + np.log(self.prior_var_z))
         return total
 
     def grad_theta(self, theta, particles) -> np.ndarray:
@@ -118,15 +112,8 @@ class LatentSpaceNetworkModel(Model):
         from theta = 0, z ~ N(0, 1), then draws each initial particle from a
         N(z_hat, 0.1) (variance 0.1) around the fitted positions.
         """
-        theta_hat, z_hat = self.point_estimate(rng.standard_normal(self.d_z))
-        particles0 = z_hat[None, :] + np.sqrt(0.1) * rng.standard_normal((n_particles, self.d_z))
-        return theta_hat.copy(), particles0
-
-    def point_estimate(self, z_init, n_iters: int = 2000, step: float = 1e-2):
-        """Joint gradient ascent on log_joint; returns (theta_hat, z_hat)."""
-        theta = np.zeros(1)
-        z = np.asarray(z_init, dtype=np.float64).ravel()[None, :].copy()
-        for _ in range(n_iters):
-            theta = theta + step * self.grad_theta(theta, z)[0]
-            z = z + step * self.grad_z(theta, z)
-        return theta, z[0]
+        theta, z = np.zeros(1), rng.standard_normal((1, self.d_z))
+        for _ in range(_INIT_ITERS):
+            theta = theta + _INIT_STEP * self.grad_theta(theta, z)[0]
+            z = z + _INIT_STEP * self.grad_z(theta, z)
+        return theta, z + np.sqrt(0.1) * rng.standard_normal((n_particles, self.d_z))

@@ -161,8 +161,8 @@ def toy_problems(draw, max_n=40, max_d=300):
 
 
 def mean_grad_theta_base(model, theta, particles):
-    """The base class's particle average of the parameter gradient: grad_theta(...).mean(axis=0)."""
-    return Model.mean_grad_theta(model, theta, particles)
+    """The particle average of the parameter gradient by its plain formula: grad_theta(...).mean(axis=0)."""
+    return model.grad_theta(theta, particles).mean(axis=0)
 
 
 def toy_hooks_naive(model, theta, particles):

@@ -552,6 +552,18 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_checks_made_at_every_particle_count(self, tmp_path, monkeypatch, capsys, workers):
+        # 1e300 particles cannot exist; the size check refuses it with the model, before any allocation
+        out = tmp_path / "sweep"
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        args = ["sweep", "--model", "toy", "--algorithm", "coin_em", "--iters", "1", "--sweep-param", "particles",
+                "--sweep-values", "2,1e300", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"config error: n_particles x d_z = {int(1e300)} x 100 is more values than one array can hold" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unrecorded_sweep_metric_rejected_before_any_point_runs(self, tmp_path, monkeypatch, capsys, workers):
         out = tmp_path / "sweep"
         monkeypatch.setenv(cli.WORKERS_ENV, workers)
@@ -661,6 +673,19 @@ class TestDumpCommand:
         rows = read_rows(dump_particles(cfg, at="final"))
         assert {r["iteration"] for r in rows} == {"83"}
         assert [float(r["z0"]) for r in rows] == trace.final_particles[:, 0].tolist()
+
+    def test_initial_snapshot_takes_no_step(self, tmp_path, monkeypatch):
+        args = ["dump", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles", "4",
+                "--iters", "50", "--seed", "3", "--at", "init"]
+        name = "toy_adaptive_coin_em_particles_init.csv"
+        assert main(args + ["--out", str(tmp_path / "stepping")]) == 0
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("dump --at init took an optimizer step")
+
+        monkeypatch.setattr(particle_em.algorithms, "step", no_step)
+        assert main(args + ["--out", str(tmp_path / "no_step")]) == 0
+        assert (tmp_path / "no_step" / name).read_bytes() == (tmp_path / "stepping" / name).read_bytes()
 
     def test_dump_via_cli(self, tmp_path):
         code = main([

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,17 @@ class TestTrainTestSplit:
         empty = TabularDataset(X=np.empty((0, 2)), y=np.empty(0, dtype=int), feature_names=["a", "b"])
         with pytest.raises(ValueError):
             train_test_split(empty, 0.2, 0)
+
+    @pytest.mark.parametrize("n, fraction", [(0, 0.2), (1, 0.2), (1, 0.01), (4, 0.9)])
+    def test_rejects_a_split_without_training_rows(self, n, fraction):
+        # ceil(n * fraction) test rows leave none to train on, or to take normalization statistics from
+        message = f"{n} data row(s) leave no training row at test_fraction {fraction}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_test_split(self.make(n), fraction, 0)
+
+    def test_one_training_row_is_enough(self):
+        train, test = train_test_split(self.make(5), 0.8, 0)
+        assert (train.n, test.n) == (1, 4)
 
 
 class TestGenerateToyData:

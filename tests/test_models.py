@@ -359,6 +359,41 @@ class TestNetworkPairTable:
         assert peak(z) <= 1.5 * peak(z[:1])
 
 
+@st.composite
+def logreg_problems(draw):
+    """(logistic model, theta, cloud): N in 1..300, d in 1..30, values and prior variance of
+    magnitude 1e-3 to 1e3."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = BayesianLogisticRegression(rng.standard_normal((5, d)), rng.integers(0, 2, 5),
+                                       prior_var=10.0 ** draw(st.floats(-3.0, 3.0)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return model, np.array([scale * draw(st.floats(-3.0, 3.0))]), scale * rng.standard_normal((n, d))
+
+
+class TestMeanGradTheta:
+    """Every model's particle average is grad_theta(...).mean(axis=0), bit for bit (the toy model's
+    is checked in TestHierarchical)."""
+
+    @given(logreg_problems())
+    def test_logreg(self, problem):
+        model, theta, z = problem
+        assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
+
+    @given(network_cases())
+    def test_network(self, case):
+        model, theta, z = case
+        assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
+
+
+@pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])
+def test_log_joint_rejects_a_latent_of_the_wrong_length(fixture_name, request):
+    model = request.getfixturevalue(fixture_name)
+    for z in (np.zeros(model.d_z - 1), np.zeros(model.d_z + 1), np.zeros((2, model.d_z))):
+        with pytest.raises(ValueError, match=f"^latent vector must have length {model.d_z}, got {z.size}$"):
+            model.log_joint(np.zeros(1), z)
+
+
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])
 def test_batched_gradients_match_per_particle(fixture_name, request):
     model = request.getfixturevalue(fixture_name)

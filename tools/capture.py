@@ -23,9 +23,12 @@ extracted the same way). Each tree runs in its own interpreter with its own
   network configs.
 
 Each library run keeps every record's iteration, theta, particle mean and
-metrics, the initial and final particles, and the divergence iteration and
-message. Prints each array or file that differs, with its largest relative
-change, then a count per group. Exits 0 when nothing differs, 1 otherwise.
+metrics, the initial particles, the final theta and particles, and the
+divergence iteration and message. The CLI's CSV files are compared byte for
+byte and its JSON sidecars as parsed JSON, without ``wall_clock_s`` and with
+each tree's own output directory replaced by one placeholder in every path.
+Prints each array or file that differs, with its largest relative change,
+then a count per group. Exits 0 when nothing differs, 1 otherwise.
 ``--tiny`` cuts the iteration counts, for the smoke test.
 """
 
@@ -35,6 +38,7 @@ import argparse
 import csv
 import importlib.util
 import io
+import json
 import logging
 import os
 import subprocess
@@ -75,6 +79,7 @@ def _capture_run(arrays: dict, key: str, algorithm: str, model, config) -> None:
     for name in records[0].metrics:
         arrays[f"{key}/metric/{name}"] = np.array([r.metrics[name] for r in records])
     arrays[f"{key}/initial_particles"] = trace.initial_particles
+    arrays[f"{key}/final_theta"] = trace.final_theta
     arrays[f"{key}/final_particles"] = trace.final_particles
     arrays[f"{key}/diverged"] = np.array(diverged)
 
@@ -186,6 +191,19 @@ def _max_rel(a: np.ndarray, b: np.ndarray) -> str:
     return f"max relative change {rel.max():.2g}" if rel.size else "non-finite entries"
 
 
+def _sidecar(path: Path, out: Path) -> str:
+    """A CLI sidecar parsed and written back in one form (a nan equals a nan), without its wall-clock
+    time and with ``out`` in any path as '<out>'."""
+    def clean(value):
+        if isinstance(value, dict):
+            return {k: clean(v) for k, v in value.items() if k != "wall_clock_s"}
+        if isinstance(value, list):
+            return [clean(v) for v in value]
+        return value.replace(str(out), "<out>") if isinstance(value, str) else value
+
+    return json.dumps(clean(json.loads(path.read_text(encoding="utf-8"))), sort_keys=True)
+
+
 def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, list[int]]]:
     """(one line per difference, {group: [compared, differ]})."""
     lines, counts = [], {g: [0, 0] for g in GROUPS}
@@ -203,14 +221,18 @@ def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, list[int]]
                 note = _max_rel(a, b)
             group[1] += 1
             lines.append(f"differs  {key}: {note}")
-    files = {p.relative_to(parent / "cli") for p in (parent / "cli").rglob("*.csv")}
-    files |= {p.relative_to(change / "cli") for p in (change / "cli").rglob("*.csv")}
+    files = {p.relative_to(side / "cli") for side in (parent, change) for pattern in ("*.csv", "*.json")
+             for p in (side / "cli").rglob(pattern)}
     for name in sorted(files):
         counts["cli"][0] += 1
         a, b = parent / "cli" / name, change / "cli" / name
-        if not (a.exists() and b.exists()) or a.read_bytes() != b.read_bytes():
-            counts["cli"][1] += 1
-            lines.append(f"differs  cli file {name}" + ("" if a.exists() and b.exists() else ": missing on one side"))
+        if a.exists() and b.exists():
+            if name.suffix == ".json" and _sidecar(a, parent) == _sidecar(b, change):
+                continue
+            if name.suffix == ".csv" and a.read_bytes() == b.read_bytes():
+                continue
+        counts["cli"][1] += 1
+        lines.append(f"differs  cli file {name}" + ("" if a.exists() and b.exists() else ": missing on one side"))
     return lines, counts
 
 
