@@ -51,8 +51,10 @@ class LatentSpaceNetworkModel(Model):
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
         # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
-        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
-        self._iu, self._ju, slot = _pair_table(self.n_nodes)
+        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table; the
+        # indices are writeable copies, as np.take copies a read-only index array on every call
+        iu, ju, slot = _pair_table(self.n_nodes)
+        self._iu, self._ju = iu.copy(), ju.copy()
         self._Y_pairs = Y[self._iu, self._ju]
         self._pair_slot = slot + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
