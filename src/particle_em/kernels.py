@@ -28,13 +28,13 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Slot 0 is the diagonal and slot p + 1 the p-th pair, for (i, j) and (j, i)
     alike, so ``table.take(slot)`` turns a [diagonal, M pair values] table into
-    the symmetric (n, n) matrix. The arrays are shared, hence read-only.
+    the symmetric (n, n) matrix. The arrays are shared: callers never write to
+    them. They stay writeable, because ``np.take`` copies a read-only index
+    array before every gather.
     """
     iu, ju = np.triu_indices(n, 1)
     slot = np.zeros((n, n), dtype=np.intp)
     slot[iu, ju] = slot[ju, iu] = np.arange(1, iu.size + 1)
-    for arr in (iu, ju, slot):
-        arr.flags.writeable = False
     return iu, ju, slot
 
 

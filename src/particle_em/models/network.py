@@ -9,7 +9,9 @@ isotropic Gaussian prior with variance prior_var_z (set to inf to disable).
 The flat latent vector has length d_z = n * embed_dim and reshapes row-major
 to (n, embed_dim). Distances, sigmoids and edge terms are evaluated once per
 unordered node pair (a table of the n(n-1)/2 pairs i < j built at construction),
-with results bit-identical to a dense (n, n) evaluation.
+with results bit-identical to a dense (n, n) evaluation. Where both gradients
+are needed at one position (``grads`` and the point estimate of
+``default_init``), they share its pair geometry.
 """
 
 from __future__ import annotations
@@ -51,24 +53,61 @@ class LatentSpaceNetworkModel(Model):
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
         # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
-        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table; the
-        # indices are writeable copies, as np.take copies a read-only index array on every call
-        iu, ju, slot = _pair_table(self.n_nodes)
-        self._iu, self._ju = iu.copy(), ju.copy()
+        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
+        self._iu, self._ju, slot = _pair_table(self.n_nodes)
         self._Y_pairs = Y[self._iu, self._ju]
         self._pair_slot = slot + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
-    def _positions(self, z) -> np.ndarray:
-        return as_latent(z, self.d_z).reshape(self.n_nodes, self.embed_dim)
+    # One node-position matrix pos (n, e) at a time: its pair geometry, the pair residuals at a
+    # theta and the latent gradient from both. The batched methods loop over these, so a particle
+    # never holds more than its own pairs, and paths that need both gradients share the geometry.
 
     def _pair_geometry(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Differences pos_i - pos_j (M, e) and distances (M,) over the pairs i < j."""
         diff = np.take(pos, self._iu, 0) - np.take(pos, self._ju, 0)
         return diff, np.sqrt(np.einsum("mk,mk->m", diff, diff))
 
+    def _pair_residuals(self, t: float, dist: np.ndarray) -> np.ndarray:
+        """Y_ij - sigmoid(t + link_sign * dist_ij) over the pairs i < j; their sum is the theta-gradient."""
+        return self._Y_pairs - sigmoid(t + self.link_sign * dist)
+
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Work buffers of :meth:`_latent_grad`: a weight table (2M + 1,), a unit-vector table
+        (2M + 1, e), each with a zero row 0, and the (n, n, e) unit vectors rebuilt from it."""
+        rows = 2 * self._iu.size + 1
+        weights, units = np.empty(rows), np.empty((rows, self.embed_dim))
+        weights[0], units[0] = 0.0, 0.0
+        return weights, units, np.empty((self.n_nodes, self.n_nodes, self.embed_dim))
+
+    def _latent_grad(self, pos, diff, dist, resid, tables) -> np.ndarray:
+        """Latent gradient (n, e) at positions pos from their pair geometry and residuals.
+
+        ``tables`` comes from :meth:`_tables`; rows 1 .. 2M of its tables are overwritten.
+        """
+        weights, units, unit = tables
+        m = dist.size
+        np.multiply(resid, self.link_sign, out=weights[1:m + 1])
+        weights[m + 1:] = weights[1:m + 1]
+        upper = units[1:m + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(diff, dist[:, None], out=upper)
+        coincident = ~(dist > _COINCIDENT_TOL)  # a nan distance too
+        if coincident.any():
+            upper[coincident] = 0.0
+        np.negative(upper, out=units[m + 1:])
+        # rebuilding the full (n, n) weights (symmetric) and (n, n, e) unit vectors
+        # (antisymmetric) keeps the sum over j in the dense order, bit for bit; where
+        # -unit is -0.0 against a dense +0.0, the zero product cannot change the sum
+        # (the "wrap" mode is for speed: with an out array, "raise" buffers it; the slots are in range)
+        grad_pos = np.einsum("ij,ijk->ik", weights.take(self._pair_slot),
+                             units.take(self._pair_slot, 0, out=unit, mode="wrap"))
+        if np.isfinite(self.prior_var_z):
+            grad_pos -= pos / self.prior_var_z
+        return grad_pos
+
     def log_joint(self, theta, z) -> float:
         t = as_theta(theta, 1)[0]
-        pos = self._positions(z)
+        pos = as_latent(z, self.d_z).reshape(self.n_nodes, self.embed_dim)
         eta = t + self.link_sign * self._pair_geometry(pos)[1]
         total = float((self._Y_pairs * eta - softplus(eta)).sum())
         if np.isfinite(self.prior_var_z):
@@ -81,41 +120,48 @@ class LatentSpaceNetworkModel(Model):
         z = as_particles(particles, self.d_z)
         out = np.empty((z.shape[0], 1))
         for k in range(z.shape[0]):
-            dist = self._pair_geometry(self._positions(z[k]))[1]
-            out[k, 0] = (self._Y_pairs - sigmoid(t + self.link_sign * dist)).sum()
+            dist = self._pair_geometry(z[k].reshape(self.n_nodes, self.embed_dim))[1]
+            out[k, 0] = self._pair_residuals(t, dist).sum()
         return out
 
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)
         out = np.empty_like(z)
-        zero_unit = np.zeros((1, self.embed_dim))
         for k in range(z.shape[0]):
-            pos = self._positions(z[k])
+            pos = z[k].reshape(self.n_nodes, self.embed_dim)
             diff, dist = self._pair_geometry(pos)
-            weight = (self._Y_pairs - sigmoid(t + self.link_sign * dist)) * self.link_sign
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unit = np.where(dist[:, None] > _COINCIDENT_TOL, diff / dist[:, None], 0.0)
-            # rebuilding the full (n, n) weights (symmetric) and (n, n, e) unit vectors
-            # (antisymmetric) keeps the sum over j in the dense order, bit for bit; where
-            # -unit is -0.0 against a dense +0.0, the zero product cannot change the sum
-            weight = np.take(np.concatenate(([0.0], weight, weight)), self._pair_slot)
-            unit = np.take(np.concatenate((zero_unit, unit, -unit)), self._pair_slot, 0)
-            grad_pos = np.einsum("ij,ijk->ik", weight, unit)
-            if np.isfinite(self.prior_var_z):
-                grad_pos -= pos / self.prior_var_z
-            out[k] = grad_pos.ravel()
+            out[k] = self._latent_grad(pos, diff, dist, self._pair_residuals(t, dist), self._tables()).ravel()
         return out
+
+    def grads(self, theta, particles) -> tuple[np.ndarray, np.ndarray]:
+        """Both gradients from one pair geometry and one sigmoid per particle."""
+        t = as_theta(theta, 1)[0]
+        z = as_particles(particles, self.d_z)
+        g_theta, g_z = np.empty((z.shape[0], 1)), np.empty_like(z)
+        for k in range(z.shape[0]):
+            pos = z[k].reshape(self.n_nodes, self.embed_dim)
+            diff, dist = self._pair_geometry(pos)
+            resid = self._pair_residuals(t, dist)
+            g_theta[k, 0] = resid.sum()
+            g_z[k] = self._latent_grad(pos, diff, dist, resid, self._tables()).ravel()
+        return g_theta, g_z
 
     def default_init(self, n_particles, rng):
         """Deterministic point-estimate fit, then particles jittered around it.
 
         Runs 2000 fixed-step (1e-2) gradient ascent iterations on log_joint
         from theta = 0, z ~ N(0, 1), then draws each initial particle from a
-        N(z_hat, 0.1) (variance 0.1) around the fitted positions.
+        N(z_hat, 0.1) (variance 0.1) around the fitted positions. Each
+        iteration builds one pair geometry: the theta step takes its
+        residuals at the old theta, the latent step at the new one.
         """
-        theta, z = np.zeros(1), rng.standard_normal((1, self.d_z))
+        theta, z = np.zeros(1), rng.standard_normal(self.d_z)
+        tables = self._tables()
         for _ in range(_INIT_ITERS):
-            theta = theta + _INIT_STEP * self.grad_theta(theta, z)[0]
-            z = z + _INIT_STEP * self.grad_z(theta, z)
+            pos = z.reshape(self.n_nodes, self.embed_dim)
+            diff, dist = self._pair_geometry(pos)
+            theta = theta + _INIT_STEP * self._pair_residuals(theta[0], dist).sum()
+            z = z + _INIT_STEP * self._latent_grad(pos, diff, dist, self._pair_residuals(theta[0], dist),
+                                                   tables).ravel()
         return theta, z + np.sqrt(0.1) * rng.standard_normal((n_particles, self.d_z))

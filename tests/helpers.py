@@ -146,6 +146,17 @@ def network_grad_z_naive(model, theta, particles):
     return out
 
 
+def network_default_init_two_calls(model, n_particles, rng):
+    """Reference network point estimate: 2000 steps of 1e-2 from theta = 0, z ~ N(0, 1), each
+    taking the theta-gradient at the old theta and then the latent gradient at the new one, both
+    from the dense references, then N(z_hat, 0.1) particles."""
+    theta, z = np.zeros(1), rng.standard_normal((1, model.d_z))
+    for _ in range(2000):
+        theta = theta + 1e-2 * network_grad_theta_naive(model, theta, z)[0]
+        z = z + 1e-2 * network_grad_z_naive(model, theta, z)
+    return theta, z + np.sqrt(0.1) * rng.standard_normal((n_particles, model.d_z))
+
+
 @st.composite
 def toy_problems(draw, max_n=40, max_d=300):
     """(toy model, theta, cloud): N in 1..max_n, d in 1..max_d, values of magnitude 1e-8 to 1e8

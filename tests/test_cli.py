@@ -263,6 +263,18 @@ class TestRunCommand:
         assert "n_particles x d_z = 100000000000000000000 x 100" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_without_feature_columns_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n1\n0\n1\n0\n1\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["run", "--model", "logreg", "--algorithm", "adaptive_coin_em", "--iters", "3",
+                     "--data-path", str(data), "--out", str(out)])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["config error: BayesianLogisticRegression has no latent coordinates (d_z = 0); "
+                          "a particle cloud needs at least one"]
+        assert not out.exists()
+
     def test_memory_error_is_reported_without_traceback(self, tmp_path, monkeypatch, capsys):
         message = "Unable to allocate 2.18 TiB for an array with shape (3000000000, 100) and data type float64"
 

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import particle_em
 from particle_em import algorithms, kernels
-from particle_em.algorithms import State
+from particle_em.algorithms import RunConfig, State, run
 from particle_em.kernels import (
     median_heuristic,
     pair_sq_dists,
@@ -19,11 +19,12 @@ from particle_em.kernels import (
     rbf_matrix,
     stein_direction,
 )
-from particle_em.models import GaussianHierarchicalModel
+from particle_em.models import GaussianHierarchicalModel, LatentSpaceNetworkModel
 from helpers import (
     assert_bitwise_equal,
     median_heuristic_naive,
     pairwise_sq_dists_naive,
+    planted_two_community_network,
     stein_dense,
     stein_naive,
 )
@@ -329,6 +330,24 @@ class TestSharedDistances:
         calls = self.counting(monkeypatch)
         algorithms.pgd_step(state, model, np.random.default_rng(0))
         assert calls == []
+
+
+def test_runs_leave_the_shared_pair_tables_intact():
+    # the cached tables are writeable (np.take copies a read-only index array on every gather),
+    # so nothing may write to them: after toy and network runs they still equal fresh ones
+    toy = GaussianHierarchicalModel(np.array([0.5, -1.0, 2.0]))
+    network = LatentSpaceNetworkModel(planted_two_community_network(8, n=7)[0], embed_dim=2)
+    for model, n_particles in ((toy, 9), (network, 6)):
+        for algorithm, options in (("pgd", {"gamma": 0.01}), ("adaptive_coin_em", {}),
+                                   ("coin_em", {"particle_grads_use_new_theta": False})):
+            run(algorithm, model, RunConfig(n_particles=n_particles, n_iters=5, seed=2, **options))
+    for n in (9, 7, 6):
+        iu, ju, slot = kernels._pair_table(n)
+        fresh_iu, fresh_ju = np.triu_indices(n, 1)
+        fresh_slot = np.zeros((n, n), dtype=np.intp)
+        fresh_slot[fresh_iu, fresh_ju] = fresh_slot[fresh_ju, fresh_iu] = np.arange(1, fresh_iu.size + 1)
+        for cached, fresh in ((iu, fresh_iu), (ju, fresh_ju), (slot, fresh_slot)):
+            assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
 
 
 def test_kernel_gradient_matches_finite_differences():

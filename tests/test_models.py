@@ -19,6 +19,7 @@ from helpers import (
     assert_bitwise_equal,
     assert_gradients_match_fd,
     mean_grad_theta_base,
+    network_default_init_two_calls,
     network_grad_theta_naive,
     network_grad_z_naive,
     network_log_joint_naive,
@@ -339,7 +340,7 @@ class TestNetworkPairTable:
         for zk in z:
             assert_bitwise_equal(model.log_joint(theta, zk), network_log_joint_naive(model, theta, zk))
 
-    @pytest.mark.parametrize("method", ["grad_z", "grad_theta"])
+    @pytest.mark.parametrize("method", ["grad_z", "grad_theta", "grads"])
     def test_peak_memory_does_not_grow_with_particles(self, method):
         # a particle-batched (N, n, n, e) evaluation would scale the peak with N
         Y, _ = planted_two_community_network(45, n=50)
@@ -357,6 +358,67 @@ class TestNetworkPairTable:
                 tracemalloc.stop()
 
         assert peak(z) <= 1.5 * peak(z[:1])
+
+
+class _CoincidentStart:
+    """A generator whose first draw puts node 1 on node 0 (e coordinates per node) and whose later
+    draws are zeros, so that the particles are the fitted positions themselves."""
+
+    def __init__(self, seed, embed_dim):
+        self.rng, self.embed_dim, self.first = np.random.default_rng(seed), embed_dim, True
+
+    def standard_normal(self, size):
+        if not self.first:
+            return np.zeros(size)
+        self.first = False
+        out = self.rng.standard_normal(size)
+        flat, e = out.reshape(-1), self.embed_dim
+        flat[e:2 * e] = flat[:e]
+        return out
+
+
+#: (n, embed_dim, prior_var_z, link_sign, graph, coincident start): e in {1, 2, 3}, both priors and
+#: link signs, no pairs (n = 1), no edges, all edges, and nodes 0 and 1 on one spot with the same
+#: neighbours, so they stay there
+DEFAULT_INIT_CASES = [
+    (5, 1, 1.0, -1.0, "planted", False),
+    (6, 2, np.inf, -1.0, "planted", False),
+    (4, 3, 1.0, 1.0, "complete", False),
+    (5, 2, np.inf, 1.0, "empty", False),
+    (1, 2, 1.0, -1.0, "empty", False),
+    (5, 2, 1.0, -1.0, "twins", True),
+    (4, 3, np.inf, 1.0, "twins", True),
+]
+
+
+class TestNetworkDefaultInit:
+    """The point estimate builds one pair geometry per iteration; its theta and particles are those
+    of the two-call loop over the dense references, bit for bit."""
+
+    @staticmethod
+    def graph(kind, n):
+        if kind == "planted":
+            return planted_two_community_network(n, n=n)[0]
+        if kind == "complete":
+            return np.ones((n, n)) - np.eye(n)
+        Y = np.zeros((n, n))
+        if kind == "twins":  # nodes 0 and 1 unlinked, both linked to every other node
+            Y[:2, 2:] = Y[2:, :2] = 1.0
+        return Y
+
+    @pytest.mark.parametrize("n,e,prior,sign,kind,coincident", DEFAULT_INIT_CASES)
+    def test_matches_two_call_loop(self, n, e, prior, sign, kind, coincident):
+        model = LatentSpaceNetworkModel(self.graph(kind, n), embed_dim=e, prior_var_z=prior, link_sign=sign)
+
+        def draws():
+            return _CoincidentStart(n, e) if coincident else np.random.default_rng(n)
+
+        theta, z = model.default_init(3, draws())
+        ref_theta, ref_z = network_default_init_two_calls(model, 3, draws())
+        assert_bitwise_equal(theta, ref_theta)
+        assert_bitwise_equal(z, ref_z)
+        if coincident:  # the twins never leave their common spot: every iteration took that branch
+            assert_bitwise_equal(z[:, :e], z[:, e:2 * e])
 
 
 @st.composite
@@ -384,6 +446,29 @@ class TestMeanGradTheta:
     def test_network(self, case):
         model, theta, z = case
         assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
+
+
+class TestGrads:
+    """Every model's grads is (grad_theta, grad_z) at the same theta and cloud, bit for bit."""
+
+    @staticmethod
+    def check(model, theta, z):
+        with np.errstate(all="ignore"):  # the toy clouds hold infinities and nans
+            g_theta, g_z = model.grads(theta, z)
+            assert_bitwise_equal(g_theta, model.grad_theta(theta, z))
+            assert_bitwise_equal(g_z, model.grad_z(theta, z))
+
+    @given(toy_problems())
+    def test_toy(self, problem):
+        self.check(*problem)
+
+    @given(logreg_problems())
+    def test_logreg(self, problem):
+        self.check(*problem)
+
+    @given(network_cases())
+    def test_network(self, case):
+        self.check(*case)
 
 
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])

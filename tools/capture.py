@@ -11,7 +11,9 @@ extracted the same way). Each tree runs in its own interpreter with its own
 - toy: N=100 particles, d=10, all six algorithms;
 - network: four algorithms from the model's ``default_init`` on
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
-  ``adaptive_coin_em``;
+  ``adaptive_coin_em``; and ``pgd`` and old-theta ``adaptive_coin_em`` on a
+  second model of that graph with ``embed_dim=3``, no latent prior and
+  ``link_sign=+1``;
 - cli: the trace CSVs (and sweep summaries) of the c10 command, of every
   ``configs/*.cfg`` (``sweep`` for a config that sets ``sweep_param``, else
   ``run``), of a small particles sweep, of ``run`` on grid point 7 of
@@ -155,6 +157,13 @@ def emit(out: Path, tiny: bool) -> None:
         config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=2,
                            record_every=every, **variant)
         _capture_run(arrays, f"network/{key}", algorithm, network, config)
+    # the other branches of the network model's per-position gradients, on the same-theta paths
+    network = LatentSpaceNetworkModel(network.Y, embed_dim=3, prior_var_z=np.inf, link_sign=1.0)
+    for key in ("pgd", "adaptive_coin_em-old_theta"):
+        algorithm, variant = runs[key]
+        config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=3,
+                           record_every=every, **variant)
+        _capture_run(arrays, f"network/e3-inf-plus/{key}", algorithm, network, config)
 
     os.environ["PARTICLE_EM_WORKERS"] = "1"
     logging.getLogger().addHandler(logging.NullHandler())  # the CLI's log lines name paths and times
