@@ -558,7 +558,8 @@ class TestRunLoop:
 
 class TestGradientCalls:
     """A step takes both gradients from one ``grads`` call exactly where both are at the old theta
-    and the same cloud: ``pgd`` and the betting rules with particle_grads_use_new_theta False."""
+    and the same cloud: ``pgd``, and every theta rule but ``mstep`` with particle_grads_use_new_theta
+    False."""
 
     @staticmethod
     def calls(algorithm, new_theta):
