@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, stein_direction
-from .models.base import Model, particle_mean
+from .models.base import Model
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
         raise DivergedError(f"non-finite values in {what}")
 
 
-def _direction(z: np.ndarray, grad_z: np.ndarray, h: float | None) -> np.ndarray:
-    """Kernelized direction of the cloud z with latent gradients grad_z (h=None: median heuristic).
+def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) -> np.ndarray:
+    """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
 
     The pair squared distances are computed once and shared by the bandwidth and the kernel.
     """
@@ -109,7 +109,7 @@ def _direction(z: np.ndarray, grad_z: np.ndarray, h: float | None) -> np.ndarray
     # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, grad_z, bandwidth, pair_sq=pair_sq)
+    return stein_direction(z, model.grad_z(theta, z), bandwidth, pair_sq=pair_sq)
 
 
 def _kt(x0, x, c, acc: KT, t: int):
@@ -164,36 +164,20 @@ def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: flo
     gradients at the updated theta, or at the old one if
     ``particle_grads_use_new_theta`` is False. Under ``mstep`` that theta is
     the M-step of the old cloud, and the returned one is that of the new cloud.
-
-    Where both gradients are taken at the old theta and the same cloud, one
-    ``model.grads`` call returns them: ``pgd`` (``langevin`` always uses the
-    old theta) and the ``gd``, ``kt`` and ``adaptive`` theta rules with
-    ``particle_grads_use_new_theta`` False. Everywhere else the step calls
-    ``mean_grad_theta`` and ``grad_z``.
     """
     theta, z, gamma, t = state.theta, state.particles, state.gamma, state.t + 1
-    old_theta = particle_rule == "langevin" or not particle_grads_use_new_theta
-    grad_z = None
     with np.errstate(over="ignore", invalid="ignore"):
         if theta_rule == "mstep":
             theta_new, theta_acc = model.marginal_mstep(z), state.theta_acc
         else:
-            if old_theta:
-                g, grad_z = model.grads(theta, z)
-                g_bar = particle_mean(g)
-            else:
-                g_bar = model.mean_grad_theta(theta, z)
+            g_bar = model.mean_grad_theta(theta, z)
             theta_new, theta_acc = _move(theta_rule, state.theta0, theta, g_bar, state.theta_acc, t, gamma, denominator)
             _require_finite("theta update", theta_new)
-        # the latent gradients come before the kernel's pair distances: in the other order a warm
-        # logistic step faults in a fresh heap page (test_logreg_steps_reuse_their_pages)
-        if grad_z is None:
-            grad_z = model.grad_z(theta if old_theta else theta_new, z)
         if particle_rule == "langevin":
-            z_new = z + gamma * grad_z + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
+            z_new = z + gamma * model.grad_z(theta, z) + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
             particle_acc = state.particle_acc
         else:
-            phi = _direction(z, grad_z, h)
+            phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
             z_new, particle_acc = _move(particle_rule, state.z0, z, phi, state.particle_acc, t, gamma, denominator)
     _require_finite("particle update", z_new)
     if theta_rule == "mstep":

@@ -28,9 +28,10 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Slot 0 is the diagonal and slot p + 1 the p-th pair, for (i, j) and (j, i)
     alike, so ``table.take(slot)`` turns a [diagonal, M pair values] table into
-    the symmetric (n, n) matrix. The arrays are shared: callers never write to
-    them. They stay writeable, because ``np.take`` copies a read-only index
-    array before every gather.
+    the symmetric (n, n) matrix. The arrays are shared by this module's
+    functions, which never write to them; another module takes copies. They
+    stay writeable, because ``np.take`` copies a read-only index array before
+    every gather.
     """
     iu, ju = np.triu_indices(n, 1)
     slot = np.zeros((n, n), dtype=np.intp)

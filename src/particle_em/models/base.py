@@ -44,12 +44,6 @@ def as_particles(particles, d_z: int) -> np.ndarray:
     return arr
 
 
-def particle_mean(g: np.ndarray) -> np.ndarray:
-    """Average of per-particle rows g (N, ...) over the particles: the ufunc calls of
-    ``g.mean(axis=0)``, bit for bit, without its dispatch."""
-    return np.true_divide(np.add.reduce(g, 0), g.shape[0])
-
-
 class Model(abc.ABC):
     """Interface: log_joint plus batched gradients in theta and z."""
 
@@ -77,9 +71,6 @@ class Model(abc.ABC):
         """Default (theta0, particles0) initialization for optimization runs."""
 
     def mean_grad_theta(self, theta, particles) -> np.ndarray:
-        """Particle average of grad_theta, shape (d_theta,)."""
-        return particle_mean(self.grad_theta(theta, particles))
-
-    def grads(self, theta, particles) -> tuple[np.ndarray, np.ndarray]:
-        """(grad_theta, grad_z) at one theta and cloud; a model may share work between the two."""
-        return self.grad_theta(theta, particles), self.grad_z(theta, particles)
+        """Particle average of grad_theta, shape (d_theta,): the ufunc calls of .mean(axis=0), bit for bit."""
+        g = self.grad_theta(theta, particles)
+        return np.true_divide(np.add.reduce(g, 0), g.shape[0])

@@ -9,9 +9,8 @@ isotropic Gaussian prior with variance prior_var_z (set to inf to disable).
 The flat latent vector has length d_z = n * embed_dim and reshapes row-major
 to (n, embed_dim). Distances, sigmoids and edge terms are evaluated once per
 unordered node pair (a table of the n(n-1)/2 pairs i < j built at construction),
-with results bit-identical to a dense (n, n) evaluation. Where both gradients
-are needed at one position (``grads`` and the point estimate of
-``default_init``), they share its pair geometry.
+with results bit-identical to a dense (n, n) evaluation. The point estimate of
+``default_init`` takes both gradients from one pair geometry per iteration.
 """
 
 from __future__ import annotations
@@ -53,14 +52,16 @@ class LatentSpaceNetworkModel(Model):
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
         # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
-        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table
-        self._iu, self._ju, slot = _pair_table(self.n_nodes)
+        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table; the
+        # indices are the model's own copies, as the kernel layer's cached tables are shared
+        iu, ju, slot = _pair_table(self.n_nodes)
+        self._iu, self._ju = iu.copy(), ju.copy()
         self._Y_pairs = Y[self._iu, self._ju]
         self._pair_slot = slot + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
     # One node-position matrix pos (n, e) at a time: its pair geometry, the pair residuals at a
     # theta and the latent gradient from both. The batched methods loop over these, so a particle
-    # never holds more than its own pairs, and paths that need both gradients share the geometry.
+    # never holds more than its own pairs, and default_init shares one geometry between both gradients.
 
     def _pair_geometry(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Differences pos_i - pos_j (M, e) and distances (M,) over the pairs i < j."""
@@ -133,19 +134,6 @@ class LatentSpaceNetworkModel(Model):
             diff, dist = self._pair_geometry(pos)
             out[k] = self._latent_grad(pos, diff, dist, self._pair_residuals(t, dist), self._tables()).ravel()
         return out
-
-    def grads(self, theta, particles) -> tuple[np.ndarray, np.ndarray]:
-        """Both gradients from one pair geometry and one sigmoid per particle."""
-        t = as_theta(theta, 1)[0]
-        z = as_particles(particles, self.d_z)
-        g_theta, g_z = np.empty((z.shape[0], 1)), np.empty_like(z)
-        for k in range(z.shape[0]):
-            pos = z[k].reshape(self.n_nodes, self.embed_dim)
-            diff, dist = self._pair_geometry(pos)
-            resid = self._pair_residuals(t, dist)
-            g_theta[k, 0] = resid.sum()
-            g_z[k] = self._latent_grad(pos, diff, dist, resid, self._tables()).ravel()
-        return g_theta, g_z
 
     def default_init(self, n_particles, rng):
         """Deterministic point-estimate fit, then particles jittered around it.

@@ -20,7 +20,6 @@ from particle_em.algorithms import (
     marginal_svgd_em_step,
     pgd_step,
     run,
-    step,
     svgd_em_step,
     _adaptive_update,
     _kt,
@@ -554,62 +553,6 @@ class TestRunLoop:
                                                           record_every=np.int64(2), seed=np.uint64(5)))
         assert list(numpy_ints.iterations()) == [0, 2, 4]
         np.testing.assert_array_equal(numpy_ints.final_particles, plain.final_particles)
-
-
-class TestGradientCalls:
-    """A step takes both gradients from one ``grads`` call exactly where both are at the old theta
-    and the same cloud: ``pgd``, and every theta rule but ``mstep`` with particle_grads_use_new_theta
-    False."""
-
-    @staticmethod
-    def calls(algorithm, new_theta):
-        """The gradient methods that ``step`` itself calls (not those they call in turn)."""
-        model, called, depth = toy_model(), [], [0]
-        for name in ("grads", "mean_grad_theta", "grad_theta", "grad_z"):
-            def spy(*args, name=name, inner=getattr(model, name)):
-                if not depth[0]:
-                    called.append(name)
-                depth[0] += 1
-                try:
-                    return inner(*args)
-                finally:
-                    depth[0] -= 1
-            setattr(model, name, spy)
-        z = np.random.default_rng(3).standard_normal((5, model.d_z))
-        gamma = 0.01 if "gd" in ALGORITHMS[algorithm] else None
-        step(State.initial(algorithm, np.zeros(1), z, gamma), model, *ALGORITHMS[algorithm],
-             rng=np.random.default_rng(4), particle_grads_use_new_theta=new_theta)
-        return called
-
-    @pytest.mark.parametrize("algorithm", ["coin_em", "adaptive_coin_em", "svgd_em"])
-    def test_old_theta_rules_take_one_grads_call(self, algorithm):
-        assert self.calls(algorithm, new_theta=False) == ["grads"]
-        assert self.calls(algorithm, new_theta=True) == ["mean_grad_theta", "grad_z"]
-
-    def test_pgd_takes_one_grads_call(self):
-        assert self.calls("pgd", new_theta=True) == ["grads"]
-
-    @pytest.mark.parametrize("algorithm", ["marginal_svgd_em", "marginal_coin_em"])
-    def test_mstep_rules_take_latent_gradients_only(self, algorithm):
-        assert self.calls(algorithm, new_theta=True) == ["grad_z"]
-
-    @pytest.mark.parametrize("algorithm", ["pgd", "coin_em", "adaptive_coin_em"])
-    def test_one_grads_call_gives_the_two_call_step(self, algorithm, monkeypatch):
-        model = LatentSpaceNetworkModel(np.ones((4, 4)) - np.eye(4), embed_dim=2)
-        z = np.random.default_rng(5).standard_normal((3, model.d_z))
-        gamma = 0.01 if algorithm == "pgd" else None
-        before = State.initial(algorithm, np.array([0.3]), z, gamma)
-
-        def one_step():
-            return step(before, model, *ALGORITHMS[algorithm], rng=np.random.default_rng(6),
-                        particle_grads_use_new_theta=False)
-
-        fused = one_step()
-        monkeypatch.setattr(model, "grads", lambda theta, particles: (model.grad_theta(theta, particles),
-                                                                       model.grad_z(theta, particles)))
-        separate = one_step()
-        assert fused.theta.tobytes() == separate.theta.tobytes()
-        assert fused.particles.tobytes() == separate.particles.tobytes()
 
 
 def test_svgd_theta_gradient_decays_on_toy():

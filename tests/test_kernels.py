@@ -341,6 +341,9 @@ def test_runs_leave_the_shared_pair_tables_intact():
         for algorithm, options in (("pgd", {"gamma": 0.01}), ("adaptive_coin_em", {}),
                                    ("coin_em", {"particle_grads_use_new_theta": False})):
             run(algorithm, model, RunConfig(n_particles=n_particles, n_iters=5, seed=2, **options))
+    # the network model keeps its own indices, so no model object holds the shared ones
+    assert not any(np.shares_memory(own, shared) for own in (network._iu, network._ju)
+                   for shared in kernels._pair_table(7))
     for n in (9, 7, 6):
         iu, ju, slot = kernels._pair_table(n)
         fresh_iu, fresh_ju = np.triu_indices(n, 1)

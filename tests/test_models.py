@@ -340,7 +340,7 @@ class TestNetworkPairTable:
         for zk in z:
             assert_bitwise_equal(model.log_joint(theta, zk), network_log_joint_naive(model, theta, zk))
 
-    @pytest.mark.parametrize("method", ["grad_z", "grad_theta", "grads"])
+    @pytest.mark.parametrize("method", ["grad_z", "grad_theta"])
     def test_peak_memory_does_not_grow_with_particles(self, method):
         # a particle-batched (N, n, n, e) evaluation would scale the peak with N
         Y, _ = planted_two_community_network(45, n=50)
@@ -446,29 +446,6 @@ class TestMeanGradTheta:
     def test_network(self, case):
         model, theta, z = case
         assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
-
-
-class TestGrads:
-    """Every model's grads is (grad_theta, grad_z) at the same theta and cloud, bit for bit."""
-
-    @staticmethod
-    def check(model, theta, z):
-        with np.errstate(all="ignore"):  # the toy clouds hold infinities and nans
-            g_theta, g_z = model.grads(theta, z)
-            assert_bitwise_equal(g_theta, model.grad_theta(theta, z))
-            assert_bitwise_equal(g_z, model.grad_z(theta, z))
-
-    @given(toy_problems())
-    def test_toy(self, problem):
-        self.check(*problem)
-
-    @given(logreg_problems())
-    def test_logreg(self, problem):
-        self.check(*problem)
-
-    @given(network_cases())
-    def test_network(self, case):
-        self.check(*case)
 
 
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])

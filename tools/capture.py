@@ -157,7 +157,7 @@ def emit(out: Path, tiny: bool) -> None:
         config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=2,
                            record_every=every, **variant)
         _capture_run(arrays, f"network/{key}", algorithm, network, config)
-    # the other branches of the network model's per-position gradients, on the same-theta paths
+    # the other branches of the network model's per-position helpers: e = 3, no prior, link +1
     network = LatentSpaceNetworkModel(network.Y, embed_dim=3, prior_var_z=np.inf, link_sign=1.0)
     for key in ("pgd", "adaptive_coin_em-old_theta"):
         algorithm, variant = runs[key]
