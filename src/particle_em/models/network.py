@@ -63,9 +63,10 @@ class LatentSpaceNetworkModel(Model):
     # theta and the latent gradient from both. The batched methods loop over these, so a particle
     # never holds more than its own pairs, and default_init shares one geometry between both gradients.
 
-    def _pair_geometry(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Differences pos_i - pos_j (M, e) and distances (M,) over the pairs i < j."""
-        diff = np.take(pos, self._iu, 0) - np.take(pos, self._ju, 0)
+    def _pair_geometry(self, pos: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Differences pos_i - pos_j (M, e), written to ``out`` if given, and distances (M,)
+        over the pairs i < j."""
+        diff = np.subtract(np.take(pos, self._iu, 0), np.take(pos, self._ju, 0), out=out)
         return diff, np.sqrt(np.einsum("mk,mk->m", diff, diff))
 
     def _pair_residuals(self, t: float, dist: np.ndarray) -> np.ndarray:
@@ -74,16 +75,19 @@ class LatentSpaceNetworkModel(Model):
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Work buffers of :meth:`_latent_grad`: a weight table (2M + 1,), a unit-vector table
-        (2M + 1, e), each with a zero row 0, and the (n, n, e) unit vectors rebuilt from it."""
+        (2M + 1, e), each with a zero row 0, and the (n, n, e) unit vectors rebuilt from it.
+        Rows 1 .. M of the unit-vector table take the pair differences from :meth:`_pair_geometry`."""
         rows = 2 * self._iu.size + 1
         weights, units = np.empty(rows), np.empty((rows, self.embed_dim))
         weights[0], units[0] = 0.0, 0.0
         return weights, units, np.empty((self.n_nodes, self.n_nodes, self.embed_dim))
 
-    def _latent_grad(self, pos, diff, dist, resid, tables) -> np.ndarray:
-        """Latent gradient (n, e) at positions pos from their pair geometry and residuals.
+    def _latent_grad(self, pos, dist, resid, tables) -> np.ndarray:
+        """Latent gradient (n, e) at positions pos from their pair distances and residuals.
 
-        ``tables`` comes from :meth:`_tables`; rows 1 .. 2M of its tables are overwritten.
+        ``tables`` comes from :meth:`_tables`, with the pair differences of pos in rows 1 .. M of
+        its unit-vector table; they become the unit vectors, and rows 1 .. 2M of both tables are
+        overwritten.
         """
         weights, units, unit = tables
         m = dist.size
@@ -91,7 +95,7 @@ class LatentSpaceNetworkModel(Model):
         weights[m + 1:] = weights[1:m + 1]
         upper = units[1:m + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(diff, dist[:, None], out=upper)
+            np.divide(upper, dist[:, None], out=upper)
         coincident = ~(dist > _COINCIDENT_TOL)  # a nan distance too
         if coincident.any():
             upper[coincident] = 0.0
@@ -129,10 +133,12 @@ class LatentSpaceNetworkModel(Model):
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)
         out = np.empty_like(z)
+        tables = self._tables()
+        diff = tables[1][1:self._iu.size + 1]
         for k in range(z.shape[0]):
             pos = z[k].reshape(self.n_nodes, self.embed_dim)
-            diff, dist = self._pair_geometry(pos)
-            out[k] = self._latent_grad(pos, diff, dist, self._pair_residuals(t, dist), self._tables()).ravel()
+            dist = self._pair_geometry(pos, out=diff)[1]
+            out[k] = self._latent_grad(pos, dist, self._pair_residuals(t, dist), tables).ravel()
         return out
 
     def default_init(self, n_particles, rng):
@@ -146,10 +152,11 @@ class LatentSpaceNetworkModel(Model):
         """
         theta, z = np.zeros(1), rng.standard_normal(self.d_z)
         tables = self._tables()
+        diff = tables[1][1:self._iu.size + 1]
         for _ in range(_INIT_ITERS):
             pos = z.reshape(self.n_nodes, self.embed_dim)
-            diff, dist = self._pair_geometry(pos)
+            dist = self._pair_geometry(pos, out=diff)[1]
             theta = theta + _INIT_STEP * self._pair_residuals(theta[0], dist).sum()
-            z = z + _INIT_STEP * self._latent_grad(pos, diff, dist, self._pair_residuals(theta[0], dist),
+            z = z + _INIT_STEP * self._latent_grad(pos, dist, self._pair_residuals(theta[0], dist),
                                                    tables).ravel()
         return theta, z + np.sqrt(0.1) * rng.standard_normal((n_particles, self.d_z))
