@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, stein_direction
-from .models.base import Model
+from .models.base import Model, particle_mean
 
 
 # ---------------------------------------------------------------------------
@@ -260,35 +260,43 @@ class Trace:
         return self.records[-1]
 
 
-@dataclass
-class RunConfig:
-    """Settings for a single optimization run.
+@dataclass(kw_only=True)
+class RunOptions:
+    """The optimizer settings of a run, each with its default.
 
-    ``n_particles``, ``n_iters``, ``record_every`` and ``seed`` are integers
-    (numpy integers too, never bool), ``seed`` non-negative. ``gamma`` is
-    required for the learning-rate algorithms and must be absent for the
-    coin variants. ``init`` optionally overrides the model's default
-    (theta0, particles0): d_theta entries and an (n_particles, d_z) cloud, all
-    finite. ``metric_hooks`` maps metric names to callables
-    ``f(theta, particles) -> float`` evaluated at every recorded iteration.
-    ``bandwidth`` fixes the kernel bandwidth; ``freeze_bandwidth`` computes it
-    once from the initial cloud instead of at every iteration.
-    ``adaptive_denominator`` is read only by ``adaptive_coin_em``, and
-    ``particle_grads_use_new_theta`` only by ``coin_em`` and
-    ``adaptive_coin_em``; the other algorithms ignore both.
+    ``gamma`` is required for the learning-rate algorithms and must be absent
+    for the coin variants. ``bandwidth`` fixes the kernel bandwidth;
+    ``freeze_bandwidth`` computes it once from the initial cloud instead of at
+    every iteration. ``adaptive_denominator`` is read only by
+    ``adaptive_coin_em``, and ``particle_grads_use_new_theta`` only by
+    ``coin_em`` and ``adaptive_coin_em``; the other algorithms ignore both.
     """
 
-    n_particles: int = 10
-    n_iters: int = 500
     gamma: float | None = None
-    seed: int = 0
     record_every: int = 1
-    init: tuple[np.ndarray, np.ndarray] | None = None
-    metric_hooks: dict[str, Callable[[np.ndarray, np.ndarray], float]] = field(default_factory=dict)
     bandwidth: float | None = None
     freeze_bandwidth: bool = False
     adaptive_denominator: str = "standard"
     particle_grads_use_new_theta: bool = True
+
+
+@dataclass(kw_only=True)
+class RunConfig(RunOptions):
+    """Settings for a single optimization run: the :class:`RunOptions` plus these.
+
+    ``n_particles``, ``n_iters``, ``record_every`` and ``seed`` are integers
+    (numpy integers too, never bool), ``seed`` non-negative. ``init``
+    optionally overrides the model's default (theta0, particles0): d_theta
+    entries and an (n_particles, d_z) cloud, all finite. ``metric_hooks`` maps
+    metric names to callables ``f(theta, particles) -> float`` evaluated at
+    every recorded iteration.
+    """
+
+    n_particles: int = 10
+    n_iters: int = 500
+    seed: int = 0
+    init: tuple[np.ndarray, np.ndarray] | None = None
+    metric_hooks: dict[str, Callable[[np.ndarray, np.ndarray], float]] = field(default_factory=dict)
 
 
 def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) -> list[str]:
@@ -379,7 +387,7 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
         # hooks may overflow to inf on states that are en route to divergence
         with np.errstate(over="ignore", invalid="ignore"):
             metrics = {name: float(hook(theta, particles)) for name, hook in config.metric_hooks.items()}
-        trace.records.append(TraceRecord(iteration, theta.copy(), particles.mean(axis=0), metrics))
+        trace.records.append(TraceRecord(iteration, theta.copy(), particle_mean(particles), metrics))
 
     record(0, state.theta, state.particles)
     for t in range(1, config.n_iters + 1):

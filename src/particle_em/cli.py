@@ -33,6 +33,7 @@ from .config import SWEEP_KEYS, ExperimentConfig, parse_config, read_config_file
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
 from .exceptions import ConfigError, DivergedError, ParseError
 from .models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
+from .models.base import particle_mean
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +89,7 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
 
         def cloud_mean(Z):
             if last.get("cloud") is not Z:
-                last["cloud"], last["mean"] = Z, np.add.reduce(Z, 0) / Z.shape[0]
+                last["cloud"], last["mean"] = Z, particle_mean(Z)
             return last["mean"]
 
         def post_mean_mse(th, Z):  # metrics.mse(Z.mean(axis=0), post_mean) bit for bit
@@ -110,9 +111,7 @@ def _metric_hooks(config: ExperimentConfig, model, extras):
         X_test, y_test = extras["test"]
         hooks["test_error"] = lambda th, Z: metrics.test_error(model.predict(Z, X_test), y_test)
     elif config.model == "network":
-        hooks["mean_log_joint"] = lambda th, Z: float(
-            np.mean([model.log_joint(th, z) for z in Z])
-        )
+        hooks["mean_log_joint"] = lambda th, Z: float(particle_mean(np.array([model.log_joint(th, z) for z in Z])))
 
     def theta_grad_norm(th, Z):  # np.linalg.norm's own arithmetic on a vector, without its dispatch
         grad = model.mean_grad_theta(th, Z)

@@ -14,7 +14,8 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .algorithms import RunConfig, validate_run
+from .algorithms import RunConfig, RunOptions, validate_run
+from .data import content_lines
 from .exceptions import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -28,26 +29,18 @@ SWEEP_KEYS = ("sweep_param", "sweep_values", "sweep_metric")
 NOTICED_DEFAULTS = ("particles", "iters", "seed")
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved settings for one experiment invocation."""
+@dataclass(kw_only=True)
+class ExperimentConfig(RunOptions):
+    """Fully resolved settings for one experiment invocation, the optimizer's :class:`RunOptions` included."""
 
     model: str = ""
     algorithm: str = ""
     particles: int = 10
     iters: int = 500
-    gamma: float | None = None
     seed: int = 0
     run_index: int = 0
-    record_every: int = 1
     output_dir: str = "runs"
     name: str = ""  # defaults to "<model>_<algorithm>"
-
-    # optimizer knobs
-    bandwidth: float | None = None
-    freeze_bandwidth: bool = False
-    adaptive_denominator: str = "standard"
-    particle_grads_use_new_theta: bool = True
 
     # sweep settings
     sweep_param: str | None = None
@@ -77,13 +70,8 @@ class ExperimentConfig:
 
     def run_config(self, **overrides) -> RunConfig:
         """The optimizer settings as a RunConfig; ``overrides`` (seed, metric_hooks, ...) win."""
-        settings = {name: getattr(self, name) for name in _RUN_FIELDS}
+        settings = {f.name: getattr(self, f.name) for f in fields(RunOptions)}
         return RunConfig(**{"n_particles": self.particles, "n_iters": self.iters, **settings, **overrides})
-
-
-#: the optimizer settings that RunConfig holds under the same name
-_RUN_FIELDS = ("gamma", "record_every", "bandwidth", "freeze_bandwidth", "adaptive_denominator",
-               "particle_grads_use_new_theta")
 
 
 def _parse_bool(text: str) -> bool:
@@ -105,15 +93,11 @@ _PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in field
 def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines into a raw string mapping."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigError([f"{path}: line {line_no}: expected 'key = value', got {text!r}"])
-            key, _, value = text.partition("=")
-            raw[key.strip()] = value.strip()
+    for line_no, text in content_lines(path):
+        if "=" not in text:
+            raise ConfigError([f"{path}: line {line_no}: expected 'key = value', got {text!r}"])
+        key, _, value = text.partition("=")
+        raw[key.strip()] = value.strip()
     return raw
 
 

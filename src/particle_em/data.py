@@ -1,4 +1,4 @@
-"""Dataset ingestion: CSV tables, train/test splitting, synthetic data, edge lists."""
+"""Dataset ingestion: CSV tables, train/test splitting, synthetic data, edge lists, line files."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -15,6 +16,15 @@ logger = logging.getLogger(__name__)
 
 #: cell contents treated as a missing value
 MISSING_TOKENS = ("", "?", "NA", "nan")
+
+
+def content_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped text) of each UTF-8 line that is not blank and not a '#' comment."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if text and not text.startswith("#"):
+                yield line_no, text
 
 
 @dataclass
@@ -68,27 +78,20 @@ def load_csv(
         feature_idx = [i for i in range(len(header)) if i not in skip]
         feature_names = [header[i] for i in feature_idx]
 
+        checked = feature_idx + [label_idx]  # a missing token in any of these drops the row
         rows: list[list[float]] = []
         labels: list[int] = []
         dropped = 0
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
             cells = [c.strip() for c in row]
-            if any(cells[i] in MISSING_TOKENS for i in feature_idx + [label_idx]):
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(cells)}")
+            if any(cells[i] in MISSING_TOKENS for i in checked):
                 dropped += 1
                 continue
-            values = []
-            for i in feature_idx:
-                try:
-                    values.append(float(cells[i]))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {header[i]!r}: non-numeric cell {cells[i]!r}"
-                    ) from None
-            rows.append(values)
+            rows.append([_feature(path, row_no, header[i], cells[i]) for i in feature_idx])
             labels.append(1 if cells[label_idx] == positive_label else 0)
 
     if dropped:
@@ -101,6 +104,14 @@ def load_csv(
         X = np.asarray(rows, dtype=np.float64)
         y = np.asarray(labels, dtype=int)
     return TabularDataset(X=X, y=y, feature_names=feature_names, dropped_rows=dropped)
+
+
+def _feature(path: str, row_no: int, column: str, cell: str) -> float:
+    """The number in one feature cell, or a ParseError that names its row and column."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ParseError(f"{path}: row {row_no}, column {column!r}: non-numeric cell {cell!r}") from None
 
 
 def train_test_split(
@@ -179,15 +190,11 @@ def load_edgelist(path: str, labels_path: str | None = None) -> AdjacencyNetwork
     labels file of 'name display-label' lines overrides display labels.
     """
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            tokens = text.replace(",", " ").split()
-            if len(tokens) != 2:
-                raise ParseError(f"{path}: line {line_no}: expected two node tokens, got {tokens!r}")
-            pairs.append((tokens[0], tokens[1]))
+    for line_no, text in content_lines(path):
+        tokens = text.replace(",", " ").split()
+        if len(tokens) != 2:
+            raise ParseError(f"{path}: line {line_no}: expected two node tokens, got {tokens!r}")
+        pairs.append((tokens[0], tokens[1]))
 
     names = sorted({name for pair in pairs for name in pair})
     index = {name: i for i, name in enumerate(names)}
@@ -207,17 +214,11 @@ def load_edgelist(path: str, labels_path: str | None = None) -> AdjacencyNetwork
     labels = list(names)
     if labels_path is not None:
         mapping: dict[str, str] = {}
-        with open(labels_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                tokens = text.split(None, 1)
-                if len(tokens) != 2:
-                    raise ParseError(
-                        f"{labels_path}: line {line_no}: expected 'name label', got {text!r}"
-                    )
-                mapping[tokens[0]] = tokens[1]
+        for line_no, text in content_lines(labels_path):
+            tokens = text.split(None, 1)
+            if len(tokens) != 2:
+                raise ParseError(f"{labels_path}: line {line_no}: expected 'name label', got {text!r}")
+            mapping[tokens[0]] = tokens[1]
         labels = [mapping.get(name, name) for name in names]
 
     return AdjacencyNetwork(

@@ -18,6 +18,11 @@ from ..exceptions import MissingMStepError
 LOG_2PI = np.log(2.0 * np.pi)
 
 
+def particle_mean(Z: np.ndarray) -> np.ndarray:
+    """Average over the first axis: the ufunc calls of ``Z.mean(axis=0)``, bit for bit."""
+    return np.true_divide(np.add.reduce(Z, 0), Z.shape[0])
+
+
 def as_theta(theta, d_theta: int) -> np.ndarray:
     """Coerce a scalar or array parameter to a float64 vector of length d_theta."""
     arr = np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel()
@@ -71,6 +76,5 @@ class Model(abc.ABC):
         """Default (theta0, particles0) initialization for optimization runs."""
 
     def mean_grad_theta(self, theta, particles) -> np.ndarray:
-        """Particle average of grad_theta, shape (d_theta,): the ufunc calls of .mean(axis=0), bit for bit."""
-        g = self.grad_theta(theta, particles)
-        return np.true_divide(np.add.reduce(g, 0), g.shape[0])
+        """Particle average of grad_theta, shape (d_theta,)."""
+        return particle_mean(self.grad_theta(theta, particles))
