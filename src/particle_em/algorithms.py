@@ -141,7 +141,8 @@ def _adaptive_update(x0, x, c, acc: Scale, denominator: str):
         raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         candidate = x0 + csum / denom * (1.0 + R / L)
-    return np.where(L > 0.0, candidate, x0), Scale(csum, L, G, R)
+    # select on L == 0, not L > 0: a NaN gradient makes L NaN, and the NaN must reach the finiteness check
+    return np.where(L == 0.0, x0, candidate), Scale(csum, L, G, R)
 
 
 def _move(rule: str, x0, x, c, acc, t: int, gamma: float | None, denominator: str):

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
+import glob
 import json
 import logging
 import math
@@ -152,17 +155,54 @@ def _write_sidecar(path: str, config: ExperimentConfig, info: dict) -> None:
         fh.write("\n")
 
 
+@functools.cache
+def _openblas_threads():
+    """The (set, get) thread-count functions of numpy's bundled OpenBLAS, or None where none is found."""
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(numpy_dir, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the library numpy has loaded, so the same handle
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if setter is not None:
+                    getter = getattr(lib, f"{prefix}get_num_threads{suffix}")
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return setter, getter
+    return None
+
+
+def _pin_blas_threads() -> bool:
+    """Run numpy's BLAS on one thread in this process; returns False where the count cannot be set.
+
+    The logistic model's matrix products change their last bits with the
+    OpenBLAS thread count, so without the pin a CLI trace would depend on the
+    host's CPU count. The library's ``run`` never pins.
+    """
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[0](1)
+    return threads is not None
+
+
 def _versions() -> dict:
-    """What the trace bytes depend on: the package and numpy versions, numpy's BLAS build and the
-    CPU features numpy dispatches on; ``blas`` and ``cpu_features`` are None where numpy does not say."""
+    """What the trace bytes depend on: the package and numpy versions, numpy's BLAS build, its thread
+    count and the CPU features numpy dispatches on; ``blas``, ``blas_threads`` and ``cpu_features``
+    are None where they cannot be found."""
     try:
         build = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 only prints its build configuration
         build = {}
     blas = build.get("Build Dependencies", {}).get("blas", {})
     features = build.get("SIMD Extensions", {}).get("found")
+    threads = _openblas_threads()
     return {"particle_em": __version__, "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}" if blas.get("name") and blas.get("version") else None,
+            "blas_threads": None if threads is None else int(threads[1]()),
             "cpu_features": None if features is None else list(features)}
 
 
@@ -262,7 +302,7 @@ def run_sweep(config: ExperimentConfig) -> str:
     if workers <= 1:
         finals = [_sweep_point(point) for point in points]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
             finals = list(pool.map(_sweep_point, points))
 
     summary_path = os.path.join(config.output_dir, config.resolved_name() + "_sweep.csv")
@@ -347,6 +387,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    if not _pin_blas_threads():
+        logger.info("no OpenBLAS thread setter found in numpy; BLAS keeps its own thread count, "
+                    "on which the last bits of a trace may depend")
 
     try:
         keys = read_config_file(args.config) if args.config is not None else {}

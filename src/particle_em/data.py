@@ -64,6 +64,7 @@ def load_csv(
     Labels equal to ``positive_label`` (string comparison on the raw cell)
     map to 1, everything else to 0. Rows containing a missing value
     (empty, '?', 'NA', 'nan') are dropped and counted in ``dropped_rows``.
+    Any other feature cell that is not a finite number is a :class:`ParseError`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -91,7 +92,7 @@ def load_csv(
             if any(cells[i] in MISSING_TOKENS for i in checked):
                 dropped += 1
                 continue
-            rows.append([_feature(path, row_no, header[i], cells[i]) for i in feature_idx])
+            rows.append(_features(path, row_no, header, cells, feature_idx))
             labels.append(1 if cells[label_idx] == positive_label else 0)
 
     if dropped:
@@ -106,12 +107,23 @@ def load_csv(
     return TabularDataset(X=X, y=y, feature_names=feature_names, dropped_rows=dropped)
 
 
-def _feature(path: str, row_no: int, column: str, cell: str) -> float:
-    """The number in one feature cell, or a ParseError that names its row and column."""
+def _features(path: str, row_no: int, header: list[str], cells: list[str], columns: list[int]) -> list[float]:
+    """The numbers in one row's feature cells; a cell that is not a finite number is a ParseError
+    that names its row and column ('nan' never gets here: it is a missing token)."""
     try:
-        return float(cell)
+        values = [float(cells[i]) for i in columns]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise ParseError(f"{path}: row {row_no}, column {column!r}: non-numeric cell {cell!r}") from None
+        pass
+    for i in columns:  # find the first bad cell, to name it
+        where = f"{path}: row {row_no}, column {header[i]!r}"
+        try:
+            value = float(cells[i])
+        except ValueError:
+            raise ParseError(f"{where}: non-numeric cell {cells[i]!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{where}: non-finite cell {cells[i]!r}")
 
 
 def train_test_split(

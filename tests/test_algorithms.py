@@ -36,6 +36,26 @@ def toy_model(d_z=4, seed=123, theta_true=1.0):
     return GaussianHierarchicalModel(x)
 
 
+class NaNGradientModel(GaussianHierarchicalModel):
+    """The toy model with column 0 of its theta or its particle gradient set to NaN."""
+
+    def __init__(self, x, nan_in: str):
+        super().__init__(x)
+        self.nan_in = nan_in
+
+    def grad_theta(self, theta, particles):
+        g = super().grad_theta(theta, particles)
+        if self.nan_in == "theta":
+            g[:, 0] = np.nan
+        return g
+
+    def grad_z(self, theta, particles):
+        g = super().grad_z(theta, particles)
+        if self.nan_in == "particle":
+            g[:, 0] = np.nan
+        return g
+
+
 class ZeroNoise:
     """Stand-in generator producing deterministic zero draws."""
 
@@ -466,6 +486,15 @@ class TestRunLoop:
         with pytest.raises(DivergedError, match=message) as excinfo:
             run("coin_em", toy_model(d_z=1), config)
         assert excinfo.value.iteration == 1
+
+    @pytest.mark.parametrize("path", ["theta", "particle"])
+    def test_a_nan_gradient_diverges_under_both_betting_rules(self, path):
+        # adaptive betting once kept a coordinate whose gradient is NaN at its anchor: NaN > 0 is false
+        model = NaNGradientModel(generate_toy_data(4, 1.0, 0)[0], path)
+        for algorithm in ("adaptive_coin_em", "coin_em"):
+            with pytest.raises(DivergedError, match=f"non-finite values in {path} update") as excinfo:
+                run(algorithm, model, RunConfig(n_particles=5, n_iters=50, seed=1))
+            assert excinfo.value.iteration == 1
 
     def test_fixed_bandwidth_run(self):
         m = toy_model(d_z=3)

@@ -3,6 +3,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import particle_em
 from particle_em import cli
-from particle_em.algorithms import RunConfig, Trace, TraceRecord
+from particle_em.algorithms import RunConfig, RunOptions, Trace, TraceRecord
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
 from particle_em.config import ExperimentConfig, parse_config, validate
 from particle_em.exceptions import ConfigError
@@ -221,6 +223,8 @@ class TestRunCommand:
         blas = build["Build Dependencies"]["blas"]
         assert sidecar["versions"] == {"particle_em": particle_em.__version__, "numpy": np.__version__,
                                        "blas": f"{blas['name']} {blas['version']}",
+                                       # the CLI runs BLAS on one thread where it can set the count
+                                       "blas_threads": None if cli._openblas_threads() is None else 1,
                                        "cpu_features": build["SIMD Extensions"]["found"]}
 
     @pytest.mark.parametrize("show_config", [lambda mode: {}, lambda: None], ids=["unreported", "no-dict-mode"])
@@ -493,7 +497,7 @@ class TestSweepCommand:
         class SerialPool:
             """Records its worker count and maps in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -736,6 +740,19 @@ class TestLogregPipeline:
         # training should not make the predictor worse than chance
         assert errors[-1] <= 0.5
 
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys):
+        # an inf feature would normalise its whole column to NaN, and the run would still exit 0
+        data = self.make_csv(tmp_path)
+        lines = open(data, encoding="utf-8").read().splitlines()
+        lines[2] = "inf," + lines[2].split(",", 1)[1]
+        open(data, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        out = tmp_path / "runs"
+        code = main(["run", "--model", "logreg", "--algorithm", "adaptive_coin_em", "--iters", "3",
+                     "--data-path", data, "--out", str(out)])
+        assert code == 1
+        assert f"error: {data}: row 3, column 'x0': non-finite cell 'inf'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", [0, 1])
     def test_too_few_rows_exit_code(self, tmp_path, capsys, rows):
         # a header-only file cannot be split; one row leaves its test row and no training row
@@ -748,6 +765,68 @@ class TestLogregPipeline:
         err = capsys.readouterr().err
         assert f"error: {data}: {rows} data row(s) leave no training row at test_fraction 0.2" in err
         assert not out.exists()
+
+
+def test_logreg_trace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The logistic gradients' matrix products change their last bits with the OpenBLAS thread
+    count, so the CLI runs BLAS on one thread. OpenBLAS reads the variable when it loads, so each
+    count runs in its own subprocess: exactly two of them."""
+    rng = np.random.default_rng(455)
+    X = rng.standard_normal((455, 30))
+    y = (rng.random(455) < 1.0 / (1.0 + np.exp(-0.5 * X @ rng.standard_normal(30)))).astype(int)
+    data = tmp_path / "lr.csv"
+    lines = [",".join([f"x{j}" for j in range(30)] + ["label"])]
+    lines += [",".join([repr(float(v)) for v in row] + [str(label)]) for row, label in zip(X, y)]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(particle_em.__file__)),
+               "OPENBLAS_NUM_THREADS": threads}
+        args = ["run", "--model", "logreg", "--algorithm", "adaptive_coin_em", "--particles", "100",
+                "--iters", "200", "--seed", "1", "--name", "lr", "--data-path", str(data), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "particle_em.cli", *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        traces.append((out / "lr.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_sweep_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+    set_threads, get_threads = threads
+    before = get_threads()
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    config = parse_config(None, {"model": "toy", "algorithm": "coin_em", "iters": 1, "toy_dim": 2,
+                                 "sweep_param": "particles", "sweep_values": "2,3", "output_dir": str(tmp_path)})
+    set_threads(2)  # run_sweep itself does not pin; each worker's initializer does
+    try:
+        run_sweep(config)
+    finally:
+        set_threads(before)
+    for k in range(2):
+        sidecar = json.loads((tmp_path / f"toy_coin_em_{k:03d}.json").read_text(encoding="utf-8"))
+        assert sidecar["versions"]["blas_threads"] == 1
+
+
+def test_missing_blas_thread_setter_logs_one_notice(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    with caplog.at_level("INFO", logger="particle_em.cli"):
+        code = main(["run", "--model", "toy", "--algorithm", "coin_em", "--particles", "2", "--iters", "1",
+                     "--name", "toy", "--out", str(tmp_path)])
+    assert code == 0
+    assert sum("no OpenBLAS thread setter" in rec.message for rec in caplog.records) == 1
+    sidecar = json.loads((tmp_path / "toy.json").read_text(encoding="utf-8"))
+    assert sidecar["versions"]["blas_threads"] is None
+
+
+def test_run_options_are_declared_once():
+    # RunConfig and ExperimentConfig take every optimizer option and its default from RunOptions
+    for cls in (RunConfig, ExperimentConfig):
+        assert issubclass(cls, RunOptions)
+        assert not {f.name for f in fields(RunOptions)} & set(vars(cls).get("__annotations__", {}))
 
 
 def test_run_config_carries_every_optimizer_setting():

@@ -5,6 +5,7 @@ import pytest
 
 from particle_em.data import (
     AdjacencyNetwork,
+    content_lines,
     generate_toy_data,
     load_csv,
     load_edgelist,
@@ -42,6 +43,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"row 3.*'b'.*oops"):
             load_csv(path, "label", "1")
 
+    @pytest.mark.parametrize("cell", ["NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = write(tmp_path / "d.csv", f"a,b,label\n1,2,1\n1,{cell},0\n")
+        with pytest.raises(ParseError, match=rf"row 3, column 'b': non-finite cell '{re.escape(cell)}'"):
+            load_csv(path, "label", "1")
+        # 'nan' itself stays a missing token: its row is dropped
+        ds = load_csv(write(tmp_path / "d.csv", "a,b,label\n1,2,1\n1,nan,0\n"), "label", "1")
+        assert (ds.n, ds.dropped_rows) == (1, 1)
+
     def test_unknown_label_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,b,label\n1,2,1\n")
         with pytest.raises(ParseError, match="nope"):
@@ -52,6 +62,11 @@ class TestLoadCsv:
         ds = load_csv(path, "label", "1", drop_columns=("id",))
         assert ds.feature_names == ["a"]
         np.testing.assert_array_equal(ds.X, [[1.0], [2.0]])
+
+
+def test_content_lines_skip_blank_and_comment_lines(tmp_path):
+    path = write(tmp_path / "f.txt", "# head\n\n  a = 1  \n\t\n  # indented comment\nb c # not a comment\n")
+    assert list(content_lines(path)) == [(3, "a = 1"), (6, "b c # not a comment")]
 
 
 class TestTrainTestSplit:

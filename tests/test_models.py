@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from particle_em.data import generate_toy_data
@@ -15,6 +16,7 @@ from particle_em.models import (
     LatentSpaceNetworkModel,
     sigmoid,
 )
+from particle_em.models.base import particle_mean
 from helpers import (
     assert_bitwise_equal,
     assert_gradients_match_fd,
@@ -477,3 +479,10 @@ def test_models_reject_non_positive_prior_variance(value):
             LatentSpaceNetworkModel(np.array([[0.0, 1.0], [1.0, 0.0]]), prior_var_z=value)
     with pytest.raises(ValueError, match="prior_var must be positive"):
         BayesianLogisticRegression(np.zeros((2, 1)), np.array([0, 1]), prior_var=value)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=300),
+                  elements=st.floats(-1e300, 1e300)))
+def test_particle_mean_is_mean_over_axis_0_bit_for_bit(Z):
+    with np.errstate(over="ignore"):
+        assert_bitwise_equal(particle_mean(Z), Z.mean(axis=0))
