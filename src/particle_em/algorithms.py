@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
+from .data import MAX_FLOAT64S
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, stein_direction
 from .models.base import Model, particle_mean
@@ -333,7 +334,7 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
         problems.append(f"{type(model).__name__} has no latent coordinates (d_z = {model.d_z}); "
                         f"a particle cloud needs at least one")
     n = config.n_particles
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and int(n) * model.d_z > np.iinfo(np.intp).max:
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and int(n) * model.d_z > MAX_FLOAT64S:
         problems.append(f"n_particles x d_z = {n} x {model.d_z} is more values than one array can hold")
     if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, metrics
 from .algorithms import Trace, run, validate_run
-from .config import SWEEP_KEYS, ExperimentConfig, parse_config, read_config_file
+from .config import LINK_SIGNS, SWEEP_KEYS, ExperimentConfig, parse_config, read_config_file
 from .data import generate_toy_data, load_csv, load_edgelist, train_test_split
 from .exceptions import ConfigError, DivergedError, ParseError
 from .models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
@@ -63,18 +63,19 @@ def _build_model(config: ExperimentConfig, data_seed: int):
         dataset = load_csv(config.data_path, config.label_column, config.positive_label)
         try:
             train, test = train_test_split(dataset, config.test_fraction, data_seed)
+        except ConfigError:  # a bad test_fraction, not a fault of the data file
+            raise
         except ValueError as err:
             raise ParseError(f"{config.data_path}: {err}") from None
         model = BayesianLogisticRegression(train.X, train.y, prior_var=config.prior_var)
         return model, {"test": (test.X, test.y)}
     if config.model == "network":
         net = load_edgelist(config.edgelist_path, config.labels_path)
-        sign = -1.0 if config.link_sign == "minus" else 1.0
         model = LatentSpaceNetworkModel(
             net.to_adjacency(),
             embed_dim=config.embed_dim,
             prior_var_z=config.prior_var_z,
-            link_sign=sign,
+            link_sign=LINK_SIGNS[config.link_sign],
         )
         return model, {"node_labels": net.node_labels}
     raise ConfigError([f"unknown model {config.model!r}"])

@@ -3,7 +3,9 @@
 Config files hold one ``key = value`` pair per line; blank lines and lines
 starting with '#' are ignored. Command-line flags override file values.
 Unknown keys are rejected so typos fail loudly, and validation reports every
-violation at once.
+violation of the config at once. The model and data parameters are checked
+where they are used, so the CLI reports them when it builds the model: after
+the data file is read, before any step runs or any file is written.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ SWEEP_KEYS = ("sweep_param", "sweep_values", "sweep_metric")
 
 #: keys whose absence triggers a logged notice about the default being used
 NOTICED_DEFAULTS = ("particles", "iters", "seed")
+#: the keys that name a file or directory, or a file's basename
+_PATH_KEYS = ("name", "output_dir", "data_path", "edgelist_path", "labels_path")
+#: the network model's link_sign of each ``link_sign`` spelling
+LINK_SIGNS = {"minus": -1.0, "plus": 1.0}
 
 
 @dataclass(kw_only=True)
@@ -150,12 +156,13 @@ def validate(config: ExperimentConfig) -> list[str]:
     problems.extend(validate_run(config.algorithm, config.run_config(**stand_in)))
     if config.name in (".", "..") or any(sep and sep in config.name for sep in (os.sep, os.altsep)):
         problems.append(f"name must be a file basename, without a path, got {config.name!r}")
+    for key in _PATH_KEYS:
+        if "\0" in (getattr(config, key) or ""):
+            problems.append(f"{key} must not contain a NUL byte, got {getattr(config, key)!r}")
     if config.run_index < 0:
         problems.append(f"run_index must be >= 0, got {config.run_index}")
-    if not 0.0 < config.test_fraction < 1.0:
-        problems.append(f"test_fraction must be in (0, 1), got {config.test_fraction}")
-    if config.link_sign not in ("minus", "plus"):
-        problems.append(f"link_sign must be 'minus' or 'plus', got {config.link_sign!r}")
+    if config.link_sign not in LINK_SIGNS:
+        problems.append(f"link_sign must be {' or '.join(map(repr, LINK_SIGNS))}, got {config.link_sign!r}")
     if config.sweep_param is not None:
         if config.sweep_param not in SWEEP_PARAMS:
             problems.append(f"sweep_param must be one of {SWEEP_PARAMS}, got {config.sweep_param!r}")
@@ -166,21 +173,7 @@ def validate(config: ExperimentConfig) -> list[str]:
             problems.append(f"sweep_values must all be finite and positive, got {bad}")
         elif config.sweep_param == "particles" and any(v != int(v) for v in config.sweep_values):
             problems.append("sweep over particles requires integer values")
-    if config.model == "toy":
-        if config.toy_dim < 1:
-            problems.append(f"toy_dim must be >= 1, got {config.toy_dim}")
-        if not math.isfinite(config.theta_true):
-            problems.append(f"theta_true must be finite, got {config.theta_true}")
-    if config.model == "logreg":
-        if not config.data_path:
-            problems.append("logreg model requires data_path")
-        if not (math.isfinite(config.prior_var) and config.prior_var > 0):
-            problems.append(f"prior_var must be a finite positive number, got {config.prior_var}")
-    if config.model == "network":
-        if not config.edgelist_path:
-            problems.append("network model requires edgelist_path")
-        if config.embed_dim < 1:
-            problems.append(f"embed_dim must be >= 1, got {config.embed_dim}")
-        if not config.prior_var_z > 0:  # also false for nan
-            problems.append(f"prior_var_z must be positive (or inf), got {config.prior_var_z}")
+    required = {"logreg": "data_path", "network": "edgelist_path"}.get(config.model)
+    if required and not getattr(config, required):
+        problems.append(f"{config.model} model requires {required}")
     return problems

@@ -5,22 +5,46 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .exceptions import ParseError
+from .exceptions import ConfigError, ParseError
 
 logger = logging.getLogger(__name__)
 
 #: cell contents treated as a missing value
 MISSING_TOKENS = ("", "?", "NA", "nan")
+#: the most float64 values one numpy array can hold: numpy bounds an array's size in bytes by intp max
+MAX_FLOAT64S = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+@contextmanager
+def _utf8_text(path: str, **kwargs) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 is a :class:`ParseError` naming its line.
+
+    The text is read as it always is; only when decoding fails is the file read again as bytes, to find
+    the line, numbered as the text read numbers it (bytes.splitlines ends a line where it does).
+    """
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                line_no = len((data[:err.start] + b"x").splitlines())  # the lines up to the bad byte's own
+                raise ParseError(f"{path}: line {line_no}: byte {data[err.start]:#04x} is not UTF-8 text") from None
+            raise  # the file changed between the two reads
 
 
 def content_lines(path: str) -> Iterator[tuple[int, str]]:
     """Yield (line number, stripped text) of each UTF-8 line that is not blank and not a '#' comment."""
-    with open(path, encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if text and not text.startswith("#"):
@@ -64,9 +88,10 @@ def load_csv(
     Labels equal to ``positive_label`` (string comparison on the raw cell)
     map to 1, everything else to 0. Rows containing a missing value
     (empty, '?', 'NA', 'nan') are dropped and counted in ``dropped_rows``.
-    Any other feature cell that is not a finite number is a :class:`ParseError`.
+    Any other feature cell that is not a finite number, and a byte that is
+    not UTF-8, is a :class:`ParseError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]
@@ -136,7 +161,7 @@ def train_test_split(
     applied to both splits; constant columns fall back to std = 1.
     """
     if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n_test = math.ceil(dataset.n * test_fraction)
     if dataset.n - n_test < 1:
         raise ValueError(f"{dataset.n} data row(s) leave no training row at test_fraction {test_fraction}")
@@ -162,10 +187,15 @@ def train_test_split(
 def generate_toy_data(d_z: int, theta_true: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw latents z_i ~ N(theta_true, 1) and observations x_i ~ N(z_i, 1).
 
-    Returns (x, z); deterministic per seed.
+    Returns (x, z); deterministic per seed. Bad parameters raise one ConfigError.
     """
-    if d_z < 1:
-        raise ValueError(f"d_z must be >= 1, got {d_z}")
+    problems = []
+    if not 1 <= d_z <= MAX_FLOAT64S:
+        problems.append(f"toy_dim (d_z) must be >= 1 and at most {MAX_FLOAT64S}, got {d_z}")
+    if not math.isfinite(theta_true):
+        problems.append(f"theta_true must be finite, got {theta_true}")
+    if problems:
+        raise ConfigError(problems)
     rng = np.random.default_rng(seed)
     z = theta_true + rng.standard_normal(d_z)
     x = z + rng.standard_normal(d_z)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ConfigError
 from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 
 
@@ -48,7 +49,7 @@ class BayesianLogisticRegression(Model):
         if y.size and not np.all(np.isin(y, (0, 1))):
             raise ValueError("labels must be 0 or 1")
         if not (prior_var > 0 and np.isfinite(prior_var)):  # inf would make log_joint -inf everywhere
-            raise ValueError(f"prior_var must be positive and finite, got {prior_var}")
+            raise ConfigError(f"prior_var must be a finite positive number, got {prior_var}")
         self.X = X
         self.y = y.astype(np.float64)
         self.prior_var = float(prior_var)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ConfigError
 from ..kernels import _pair_table
 from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 from .logistic import sigmoid, softplus
@@ -39,12 +40,15 @@ class LatentSpaceNetworkModel(Model):
             raise ValueError("adjacency must have an empty diagonal")
         if not np.all(np.isin(Y, (0.0, 1.0))):
             raise ValueError("adjacency entries must be 0 or 1")
+        problems = []
         if embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
-        if not prior_var_z > 0:
-            raise ValueError(f"prior_var_z must be positive (or inf), got {prior_var_z}")
+            problems.append(f"embed_dim must be >= 1, got {embed_dim}")
+        if not prior_var_z > 0:  # also false for nan
+            problems.append(f"prior_var_z must be positive (or inf), got {prior_var_z}")
         if link_sign not in (-1.0, 1.0):
-            raise ValueError(f"link_sign must be -1 or +1, got {link_sign}")
+            problems.append(f"link_sign must be -1 or +1, got {link_sign}")
+        if problems:
+            raise ConfigError(problems)
         self.Y = Y
         self.n_nodes = Y.shape[0]
         self.embed_dim = int(embed_dim)

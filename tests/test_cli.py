@@ -6,7 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 
 import particle_em
 from particle_em import cli
-from particle_em.algorithms import RunConfig, RunOptions, Trace, TraceRecord
+from particle_em import config as config_module
+from particle_em.algorithms import ALGORITHMS, RunConfig, RunOptions, Trace, TraceRecord
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
 from particle_em.config import ExperimentConfig, parse_config, validate
+from particle_em.data import MAX_FLOAT64S
 from particle_em.exceptions import ConfigError
 from particle_em.models import GaussianHierarchicalModel
 from helpers import assert_bitwise_equal, toy_hooks_naive, toy_problems
@@ -266,6 +269,70 @@ class TestRunCommand:
         assert code == 2
         assert "n_particles x d_z = 100000000000000000000 x 100" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_cloud_size_check_counts_bytes(self, tmp_path, capsys):
+        # 1 x 1.5e18 values fit in intp but their 1.2e19 bytes do not, which numpy refuses in default_init
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\nc a\n", encoding="utf-8")
+        text = (f"model = network\nalgorithm = coin_em\nparticles = 1\niters = 1\nedgelist_path = {edges}\n"
+                f"embed_dim = {5 * 10**17}\n")
+        out = tmp_path / "runs"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert "config error: n_particles x d_z = 1 x 1500000000000000000 is more values than one array can hold" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("toy_dim", [0, 2 * 10**18, 10**20])
+    def test_toy_dim_out_of_range_exit_code(self, tmp_path, capsys, toy_dim):
+        # 2e18 values fit in intp but their bytes do not; 1e20 is beyond intp itself
+        text = f"model = toy\nalgorithm = coin_em\niters = 1\ntoy_dim = {toy_dim}\n"
+        out = tmp_path / "runs"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert f"config error: toy_dim (d_z) must be >= 1 and at most {MAX_FLOAT64S}, got {toy_dim}\n" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_fraction_is_a_config_error(self, tmp_path, capsys):
+        # the split checks its fraction, and the CLI reports that as a config error, not as a fault of the file
+        data = tmp_path / "lr.csv"
+        data.write_text("x0,label\n0.5,1\n-0.5,0\n1.5,1\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        code = main(["run", "--config", write_config(tmp_path, "test_fraction = 1\n"), "--model", "logreg",
+                     "--algorithm", "coin_em", "--iters", "1", "--data-path", str(data), "--out", str(out)])
+        assert code == 2
+        assert "config error: test_fraction must be in (0, 1), got 1.0\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["name", "output_dir", "data_path", "edgelist_path", "labels_path"])
+    def test_nul_byte_in_a_path_is_a_config_error(self, tmp_path, capsys, key):
+        edges, data = tmp_path / "net.txt", tmp_path / "lr.csv"
+        edges.write_text("a b\nb c\n", encoding="utf-8")
+        data.write_text("x0,label\n0.5,1\n-0.5,0\n1.5,1\n", encoding="utf-8")
+        out = tmp_path / "runs"
+        model = "logreg" if key == "data_path" else "network" if key in ("edgelist_path", "labels_path") else "toy"
+        keys = {"data_path": data, "edgelist_path": edges, "output_dir": out,
+                key: "a\0b" if key == "name" else f"{tmp_path}/a\0b"}
+        text = f"model = {model}\nalgorithm = coin_em\niters = 1\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        assert main(["run", "--config", write_config(tmp_path, text)]) == 2
+        assert f"config error: {key} must not contain a NUL byte" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["config", "edgelist", "labels", "csv"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, bad):
+        edges, labels, data = tmp_path / "net.txt", tmp_path / "labels.txt", tmp_path / "lr.csv"
+        edges.write_bytes(b"a b\n" + (b"b \xffc\n" if bad == "edgelist" else b"b c\n"))
+        labels.write_bytes(b"a A\n" + (b"b \xffB\n" if bad == "labels" else b"b B\n"))
+        data.write_bytes(b"x0,label\n0.5,1\n" + (b"-0.5,\xff0\n" if bad == "csv" else b"-0.5,0\n") + b"1.5,1\n")
+        model = (f"model = logreg\ndata_path = {data}\n" if bad == "csv"
+                 else f"model = network\nedgelist_path = {edges}\nlabels_path = {labels}\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"algorithm = coin_em\n" + (b"# \xff\n" if bad == "config" else b"\n")
+                        + f"iters = 1\n{model}".encode())
+        path, line = {"config": (cfg, 2), "edgelist": (edges, 2), "labels": (labels, 2), "csv": (data, 3)}[bad]
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {path}: line {line}: byte 0xff is not UTF-8 text\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_without_feature_columns_is_a_config_error(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
@@ -864,7 +931,105 @@ def test_shipped_config_runs(command, name, tmp_path, monkeypatch):
     assert list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("spelling,sign", [("minus", -1.0), ("plus", 1.0)])
+def test_link_sign_spelling_builds_its_sign(tmp_path, spelling, sign):
+    edges = tmp_path / "net.txt"
+    edges.write_text("a b\nb c\n", encoding="utf-8")
+    config = parse_config(None, {"model": "network", "algorithm": "coin_em", "edgelist_path": str(edges),
+                                 "link_sign": spelling})
+    model, _ = cli._build_model(config, 0)
+    assert model.link_sign == sign
+
+
+def test_model_and_data_parameters_are_left_to_their_owners():
+    # each is checked once, where it is used, when the CLI builds the model
+    config = ExperimentConfig(model="toy", algorithm="coin_em", toy_dim=0, theta_true=math.nan, test_fraction=2.0,
+                              prior_var=-1.0, embed_dim=0, prior_var_z=math.nan)
+    assert validate(config) == []
+    assert validate(replace(config, link_sign="sideways")) == ["link_sign must be 'minus' or 'plus', got 'sideways'"]
+
+
 def test_experiment_config_resolved_name():
     cfg = ExperimentConfig(model="toy", algorithm="pgd")
     assert cfg.resolved_name() == "toy_pgd"
     assert ExperimentConfig(name="custom").resolved_name() == "custom"
+
+
+# ---------------------------------------------------------------------------
+# fuzz gate: whatever a config file holds, the CLI exits 0, 1 or 2 and no exception escapes
+
+_BEYOND_INTP = st.integers(int(np.iinfo(np.intp).max) + 1, 10**30)
+#: text any drawn key may be given: wrong types, the special floats, an empty value
+_ANY_TEXT = st.sampled_from(["", "abc", "1.5", "-1", "nan", "inf", "-inf", "1e999", "yes", "0x10"])
+_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300]) | st.floats(-2.0, 2.0)
+#: each parser's values; every size is either small or beyond np.intp, so nothing large is ever allocated
+_PARSER_TEXT = {
+    int: st.integers(-1, 4) | _BEYOND_INTP,
+    float: _FLOATS,
+    config_module._parse_bool: st.sampled_from(["yes", "0", "maybe"]),
+    str: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=6),
+    config_module._TYPE_PARSERS["list[float]"]: st.lists(st.sampled_from(
+        [0.01, 1.0, 2.0, 3.0, 1e300, math.nan, math.inf, -1.0, 0.5]), max_size=3).map(lambda v: ",".join(map(repr, v))),
+}
+_FILES = {
+    "lr.csv": b"x0,x1,label\n0.5,1,1\n-0.5,2,0\n1.5,0,1\n-1.5,1,0\n0.2,3,0\n1.1,-1,1\n",
+    "labels_only.csv": b"label\n1\n0\n1\n",
+    "bad.csv": b"x0,label\n0.5,1\n-0.5,\xff0\n",
+    "net.txt": b"a b\nb c\nc d\nd a\n",
+    "loops.txt": b"a a\n",
+    "bad_net.txt": b"a b\nb \xffc\n",
+    "labels.txt": b"a A\nb B\n",
+    "bad_labels.txt": b"a \xffA\n",
+}
+_PATHS = st.sampled_from([*_FILES, "missing.txt", "dir", "a\0b"])
+#: keys whose values are drawn from fixed choices, mostly valid ones, and the iteration count, kept at 3 or fewer
+_KEY_TEXT = {
+    "model": st.sampled_from([*config_module.MODELS * 3, "", "x"]),
+    "algorithm": st.sampled_from([*sorted(ALGORITHMS) * 2, "", "x"]),
+    "iters": st.integers(-1, 3) | st.sampled_from(["", "abc", "1.5"]),
+    "adaptive_denominator": st.sampled_from(["standard", "bnn", "x"]),
+    "link_sign": st.sampled_from(["minus", "plus", "x"]),
+    "sweep_param": st.sampled_from(["gamma", "particles", "x"]),
+    "sweep_metric": st.sampled_from(["theta", "theta_mse", "posterior_var", "test_error", "mean_log_joint", "x"]),
+    "label_column": st.sampled_from(["label", "x0", "x"]),
+    "name": st.sampled_from(["", ".", "..", "a/b", "a\0b", "r" * 300]) | _PARSER_TEXT[str],
+    **dict.fromkeys(("data_path", "edgelist_path", "labels_path"), _PATHS),
+    "output_dir": st.sampled_from(["out", "o\0ut", "lr.csv"]),  # a directory, a NUL byte, a file
+}
+
+
+@given(st.data())
+def test_cli_exits_0_1_or_2_on_any_config(data):
+    command = data.draw(st.sampled_from(["run", "sweep", "dump"]))
+    algorithm = data.draw(_KEY_TEXT["algorithm"])
+    keys = {"model": data.draw(_KEY_TEXT["model"]), "algorithm": algorithm, "iters": 2, "particles": 3,
+            "toy_dim": 3, "data_path": "lr.csv", "edgelist_path": "net.txt", "output_dir": "out"}
+    if "gd" in ALGORITHMS.get(algorithm, ()):
+        keys["gamma"] = 0.01
+    if command == "sweep":
+        keys.update({"sweep_param": "particles", "sweep_values": "2,3"} if "gamma" not in keys
+                    else {"sweep_param": "gamma", "sweep_values": "0.01,0.1"})
+    for key in data.draw(st.lists(st.sampled_from(sorted(config_module._PARSERS)), max_size=3, unique=True)):
+        keys[key] = data.draw(_KEY_TEXT.get(key, _PARSER_TEXT[config_module._PARSERS[key]]) | _ANY_TEXT)
+    out_of_memory = data.draw(st.sampled_from([False] * 3 + [True]))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "dir"))
+        for name, content in _FILES.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(content)
+        for key in ("data_path", "edgelist_path", "labels_path", "output_dir"):  # every path under tmp
+            if key in keys:
+                keys[key] = os.path.join(tmp, keys[key])
+        text = "".join(f"{key} = {value}\n" for key, value in keys.items()).encode()
+        cfg = os.path.join(tmp, "exp.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write(text + data.draw(st.sampled_from([b""] * 4 + [b"# \xff\n", b"no equals sign\n"])))
+        argv = [command, "--config", cfg] + (["--at", data.draw(st.sampled_from(["init", "final"]))]
+                                             if command == "dump" else [])
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        with mock.patch.dict(os.environ, {cli.WORKERS_ENV: "1"}), \
+                mock.patch.object(cli, "run", no_memory if out_of_memory else cli.run):
+            assert main(argv) in (0, 1, 2)

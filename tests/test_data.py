@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from particle_em.data import (
+    MAX_FLOAT64S,
     AdjacencyNetwork,
     content_lines,
     generate_toy_data,
@@ -11,7 +12,7 @@ from particle_em.data import (
     load_edgelist,
     train_test_split,
 )
-from particle_em.exceptions import ParseError
+from particle_em.exceptions import ConfigError, ParseError
 
 
 def write(path, text):
@@ -67,6 +68,16 @@ class TestLoadCsv:
 def test_content_lines_skip_blank_and_comment_lines(tmp_path):
     path = write(tmp_path / "f.txt", "# head\n\n  a = 1  \n\t\n  # indented comment\nb c # not a comment\n")
     assert list(content_lines(path)) == [(3, "a = 1"), (6, "b c # not a comment")]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_readers_name_the_line_that_is_not_utf8(tmp_path, newline):
+    # text is decoded in chunks, so the failing read is past the bad line; a line ends where the text read ends it
+    path = tmp_path / "f.txt"
+    path.write_bytes(newline.join([b"a,label", *[b"1,0"] * 5000, b"2,\xe9", b"3,1"]))
+    for read in (lambda: list(content_lines(str(path))), lambda: load_csv(str(path), "label", "1")):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 5002: byte 0xe9 is not UTF-8 text$"):
+            read()
 
 
 class TestTrainTestSplit:
@@ -142,6 +153,11 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(empty, 0.2, 0)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+    def test_bad_fraction_is_a_config_error(self, fraction):
+        with pytest.raises(ConfigError, match=rf"^test_fraction must be in \(0, 1\), got {fraction}$"):
+            train_test_split(self.make(10), fraction, 0)
+
     @pytest.mark.parametrize("n, fraction", [(0, 0.2), (1, 0.2), (1, 0.01), (4, 0.9)])
     def test_rejects_a_split_without_training_rows(self, n, fraction):
         # ceil(n * fraction) test rows leave none to train on, or to take normalization statistics from
@@ -174,6 +190,18 @@ class TestGenerateToyData:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             generate_toy_data(0, 1.0, 0)
+
+    def test_rejects_every_bad_parameter_at_once(self):
+        with pytest.raises(ConfigError) as err:
+            generate_toy_data(0, float("nan"), 0)
+        assert err.value.violations == [f"toy_dim (d_z) must be >= 1 and at most {MAX_FLOAT64S}, got 0",
+                                        "theta_true must be finite, got nan"]
+
+    @pytest.mark.parametrize("d_z", [MAX_FLOAT64S + 1, 2 * 10**18, np.iinfo(np.intp).max + 1])
+    def test_rejects_more_values_than_one_array_holds(self, d_z):
+        # numpy bounds an array's bytes, not its values, by intp max: 2e18 values fit in intp, not their bytes
+        with pytest.raises(ConfigError, match=f"got {d_z}$"):
+            generate_toy_data(d_z, 1.0, 0)
 
 
 class TestLoadEdgelist:

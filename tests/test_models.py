@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
 
 from particle_em.data import generate_toy_data
+from particle_em.exceptions import ConfigError
 from particle_em.models import (
     BayesianLogisticRegression,
     GaussianHierarchicalModel,
@@ -477,8 +478,15 @@ def test_models_reject_non_positive_prior_variance(value):
     if not np.isinf(value):
         with pytest.raises(ValueError, match="prior_var_z must be positive"):
             LatentSpaceNetworkModel(np.array([[0.0, 1.0], [1.0, 0.0]]), prior_var_z=value)
-    with pytest.raises(ValueError, match="prior_var must be positive"):
+    with pytest.raises(ValueError, match="prior_var must be a finite positive number"):
         BayesianLogisticRegression(np.zeros((2, 1)), np.array([0, 1]), prior_var=value)
+
+
+def test_network_model_rejects_every_bad_parameter_at_once():
+    with pytest.raises(ConfigError) as err:
+        LatentSpaceNetworkModel(np.array([[0.0, 1.0], [1.0, 0.0]]), embed_dim=0, prior_var_z=-1.0, link_sign=2.0)
+    assert err.value.violations == ["embed_dim must be >= 1, got 0", "prior_var_z must be positive (or inf), got -1.0",
+                                    "link_sign must be -1 or +1, got 2.0"]
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=300),

@@ -19,7 +19,8 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``run``), of a small particles sweep, of ``run`` on grid point 7 of
   ``configs/toy_pgd_sweep.cfg`` and, recording every iteration, on its
   diverging grid point 35, and of a one-particle toy ``pgd`` run recording
-  every iteration; a logreg config reads a seeded synthetic CSV
+  every iteration, and of ``run`` on ``configs/network_coin.cfg`` with
+  ``link_sign = plus``; a logreg config reads a seeded synthetic CSV
   in place of the clinical file the repository does not ship; and the
   particle snapshots of ``dump --at init`` and ``--at final`` on the toy and
   network configs.
@@ -119,6 +120,11 @@ def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
     # every record of a run whose cloud overflows to inf on the way to divergence (at step 114)
     commands["toy_pgd_sweep_diverging"] = ["run", "--config", sweep_cfg, "--gamma", gammas[35], "--run-index",
                                            "35", "--record-every", "1", "--name", "toy_pgd_035"]
+    # the network config with link_sign = plus, the one CLI run of the 'plus' spelling
+    plus = out / "network_plus.cfg"
+    plus.write_text(Path("configs/network_coin.cfg").read_text(encoding="utf-8") + "link_sign = plus\n",
+                    encoding="utf-8")
+    commands["network_plus"] = ["run", "--config", str(plus), "--iters", "100", "--name", "network_plus"]
     # one particle: the toy hooks without posterior_var
     commands["toy_pgd_one_particle"] = ["run", "--model", "toy", "--algorithm", "pgd", "--gamma", "0.01",
                                         "--particles", "1", "--iters", "100", "--record-every", "1", "--seed", "6"]
