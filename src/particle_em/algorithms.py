@@ -22,6 +22,7 @@ input. Any non-finite value in an updated state aborts with :class:`DivergedErro
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -32,6 +33,7 @@ from .data import MAX_FLOAT64S
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, stein_direction
 from .models.base import Model, particle_mean
+from .scratch import Scratch
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +102,23 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
         raise DivergedError(f"non-finite values in {what}")
 
 
-def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None) -> np.ndarray:
+def _grad_z(model: Model, theta: np.ndarray, z: np.ndarray, scratch: Scratch | None) -> np.ndarray:
+    # a model whose grad_z takes no scratch gets none: run passes one only to a model that takes it
+    return model.grad_z(theta, z) if scratch is None else model.grad_z(theta, z, scratch=scratch)
+
+
+def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None,
+               scratch: Scratch | None) -> np.ndarray:
     """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
 
     The pair squared distances are computed once and shared by the bandwidth and the kernel.
     """
-    pair_sq = kernels.pair_sq_dists(z)
+    pair_sq = kernels.pair_sq_dists(z, scratch)
     bandwidth = median_heuristic(z, pair_sq=pair_sq) if h is None else float(h)
     # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, model.grad_z(theta, z), bandwidth, pair_sq=pair_sq)
+    return stein_direction(z, _grad_z(model, theta, z, scratch), bandwidth, pair_sq=pair_sq)
 
 
 def _kt(x0, x, c, acc: KT, t: int):
@@ -157,7 +165,7 @@ def _move(rule: str, x0, x, c, acc, t: int, gamma: float | None, denominator: st
 
 def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: float | None = None,
          rng: np.random.Generator | None = None, denominator: str = "standard",
-         particle_grads_use_new_theta: bool = True) -> State:
+         particle_grads_use_new_theta: bool = True, scratch: Scratch | None = None) -> State:
     """One step of a rule pair: theta first, then the particles.
 
     ``h`` fixes the kernel bandwidth (None: the median heuristic of the
@@ -166,6 +174,8 @@ def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: flo
     gradients at the updated theta, or at the old one if
     ``particle_grads_use_new_theta`` is False. Under ``mstep`` that theta is
     the M-step of the old cloud, and the returned one is that of the new cloud.
+    ``scratch`` (see :mod:`particle_em.scratch`) goes to the pair distances
+    and to ``model.grad_z``, which must then take a ``scratch`` keyword.
     """
     theta, z, gamma, t = state.theta, state.particles, state.gamma, state.t + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -176,10 +186,10 @@ def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: flo
             theta_new, theta_acc = _move(theta_rule, state.theta0, theta, g_bar, state.theta_acc, t, gamma, denominator)
             _require_finite("theta update", theta_new)
         if particle_rule == "langevin":
-            z_new = z + gamma * model.grad_z(theta, z) + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
+            z_new = z + gamma * _grad_z(model, theta, z, scratch) + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
             particle_acc = state.particle_acc
         else:
-            phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h)
+            phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h, scratch)
             z_new, particle_acc = _move(particle_rule, state.z0, z, phi, state.particle_acc, t, gamma, denominator)
     _require_finite("particle update", z_new)
     if theta_rule == "mstep":
@@ -199,30 +209,34 @@ ALGORITHMS = {
 }
 
 
-def svgd_em_step(state: State, model: Model, h: float | None = None) -> State:
-    return step(state, model, *ALGORITHMS["svgd_em"], h)
+def svgd_em_step(state: State, model: Model, h: float | None = None, scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["svgd_em"], h, scratch=scratch)
 
 
 def coin_em_step(state: State, model: Model, h: float | None = None,
-                 particle_grads_use_new_theta: bool = True) -> State:
-    return step(state, model, *ALGORITHMS["coin_em"], h, particle_grads_use_new_theta=particle_grads_use_new_theta)
+                 particle_grads_use_new_theta: bool = True, scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["coin_em"], h, particle_grads_use_new_theta=particle_grads_use_new_theta,
+                scratch=scratch)
 
 
 def adaptive_coin_em_step(state: State, model: Model, h: float | None = None, denominator: str = "standard",
-                          particle_grads_use_new_theta: bool = True) -> State:
-    return step(state, model, *ALGORITHMS["adaptive_coin_em"], h, None, denominator, particle_grads_use_new_theta)
+                          particle_grads_use_new_theta: bool = True, scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["adaptive_coin_em"], h, None, denominator, particle_grads_use_new_theta,
+                scratch)
 
 
-def marginal_svgd_em_step(state: State, model: Model, h: float | None = None) -> State:
-    return step(state, model, *ALGORITHMS["marginal_svgd_em"], h)
+def marginal_svgd_em_step(state: State, model: Model, h: float | None = None,
+                          scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["marginal_svgd_em"], h, scratch=scratch)
 
 
-def marginal_coin_em_step(state: State, model: Model, h: float | None = None) -> State:
-    return step(state, model, *ALGORITHMS["marginal_coin_em"], h)
+def marginal_coin_em_step(state: State, model: Model, h: float | None = None,
+                          scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["marginal_coin_em"], h, scratch=scratch)
 
 
-def pgd_step(state: State, model: Model, rng: np.random.Generator) -> State:
-    return step(state, model, *ALGORITHMS["pgd"], rng=rng)
+def pgd_step(state: State, model: Model, rng: np.random.Generator, scratch: Scratch | None = None) -> State:
+    return step(state, model, *ALGORITHMS["pgd"], rng=rng, scratch=scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +396,9 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     options = {"denominator": config.adaptive_denominator} if theta_rule == "adaptive" else {}
     if theta_rule in ("kt", "adaptive"):
         options["particle_grads_use_new_theta"] = config.particle_grads_use_new_theta
+    # one scratch per run, for a model whose grad_z takes one; a model never holds it
+    if "scratch" in inspect.signature(model.grad_z).parameters:
+        options["scratch"] = Scratch()
 
     trace = Trace(initial_particles=z0.copy())
 

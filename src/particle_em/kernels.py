@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
-#: float64 entries of the j rows gathered at a time by :func:`pair_sq_dists` (64 KB)
+from .scratch import Scratch
+
+#: float64 values of each row set that :func:`pair_sq_dists` gathers at a time without scratch (64 KB)
 _CHUNK = 8192
 
 
@@ -48,14 +50,17 @@ def _checked_pair_sq(pair_sq, n: int) -> np.ndarray:
     return pair_sq
 
 
-def pair_sq_dists(particles: np.ndarray) -> np.ndarray:
+def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Squared Euclidean distances of the pairs i < j, shape (M,) with M = N(N-1)/2.
 
     The pairs are in row-major order, as in ``scipy.spatial.distance.pdist``.
-    The i rows are gathered into one (M, d) buffer and the j rows subtracted
-    from it in chunks of at most 8192 values (one row, if d is larger); each
-    pair's sum of squares is the same per-row ``einsum`` as over a dense
-    (N, N, d) difference tensor, so every value is bit-identical to it.
+    Both row sets are gathered a chunk of pairs at a time, and each pair's sum
+    of squares is the same per-row ``einsum`` as over a dense (N, N, d)
+    difference tensor, so every value is bit-identical to it. The chunks live
+    in slots 0 and 1 of ``scratch`` when a model has already grown both past
+    8192 values; otherwise they are fresh, of at most 8192 values (two rows,
+    if d is larger than 4096). This never grows ``scratch``, so a run whose
+    model takes no scratch holds none between steps.
 
     The kernel layer assumes finite particles (``run`` checks an explicit
     initialization). For finite input the diagonal of :func:`pairwise_sq_dists`
@@ -63,17 +68,28 @@ def pair_sq_dists(particles: np.ndarray) -> np.ndarray:
     form gives nan there (inf - inf) and the square form 0.
     """
     z = np.asarray(particles, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1:
-        raise ValueError(f"particles must be a non-empty (N, d) array, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
+        raise ValueError(f"particles must be a non-empty (N, d) array with d >= 1, got shape {z.shape}")
     iu, ju, _ = _pair_table(z.shape[0])
-    # one full-size buffer, freed on return: a smaller or chunked first gather leaves glibc's
-    # mmap threshold low, and the models' later large temporaries then fault in fresh pages
-    diff = np.take(z, iu, 0)
-    rows = max(1, _CHUNK // z.shape[1])
-    for start in range(0, iu.size, rows):
-        block = diff[start:start + rows]
-        np.subtract(block, np.take(z, ju[start:start + rows], 0), out=block)
-    return np.einsum("mk,mk->m", diff, diff)
+    m, d = iu.size, z.shape[1]
+    if m == 1:  # the one pair of two particles, reduced in a taller einsum (see the loop below)
+        return pair_sq_dists(z[[0, 1, 0]], scratch)[:1]
+    grown = 0 if scratch is None else min(scratch.size(0), scratch.size(1))
+    rows = max(2, max(_CHUNK, grown) // d)
+    left, right = (scratch.take(0, rows * d), scratch.take(1, rows * d)) if rows * d <= grown else (None, None)
+    out = np.empty(m)
+    for start in range(0, m, rows):
+        # a one-row einsum of more than 8192 values (numpy's buffer size) sums them in another
+        # order than a taller one, so a lone last row is reduced again with the row before it
+        start = min(start, m - 2)
+        i, j = iu[start:start + rows], ju[start:start + rows]
+        size = i.size * d
+        # the indices are in range, so mode="clip" changes nothing; "raise" would buffer ``out``
+        diff = np.take(z, i, 0, out=None if left is None else left[:size].reshape(-1, d), mode="clip")
+        other = np.take(z, j, 0, out=None if left is None else right[:size].reshape(-1, d), mode="clip")
+        np.subtract(diff, other, out=diff)
+        np.einsum("mk,mk->m", diff, diff, out=out[start:start + rows])
+    return out
 
 
 def pairwise_sq_dists(particles: np.ndarray) -> np.ndarray:

@@ -65,7 +65,11 @@ class Model(abc.ABC):
 
     @abc.abstractmethod
     def grad_z(self, theta, particles) -> np.ndarray:
-        """Latent gradient of log_joint per particle, shape (N, d_z)."""
+        """Latent gradient of log_joint per particle, shape (N, d_z).
+
+        An override may also take a ``scratch`` keyword (a :class:`particle_em.scratch.Scratch`);
+        ``run`` then passes it the run's scratch for its large temporaries.
+        """
 
     def marginal_mstep(self, particles) -> np.ndarray:
         """Exact maximizer of the average log joint over theta, if available."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigError
+from ..scratch import Scratch
 from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
 
 
@@ -69,14 +70,37 @@ class BayesianLogisticRegression(Model):
         z = as_particles(particles, self.d_z)
         return (z - t).sum(axis=1, keepdims=True) / self.prior_var
 
-    def grad_z(self, theta, particles) -> np.ndarray:
+    def grad_z(self, theta, particles, scratch: Scratch | None = None) -> np.ndarray:
+        """``prior + (y - sigmoid(z @ X.T)) @ X``, with the (N, n) residuals built in ``scratch``.
+
+        Slot 0 holds the logits u and then, in place, the residuals; slot 1 holds
+        e = exp(-|u|) and slot 2 the mask u >= 0, for half of the rows at a time. The
+        sigmoid's select is ``e * (u < 0) + (u >= 0)``, which equals :func:`sigmoid`'s
+        ``where`` bit for bit. Without ``scratch`` a fresh one is used.
+        """
         t = as_theta(theta, 1)[0]
         z = as_particles(particles, self.d_z)
         prior = (t - z) / self.prior_var
-        if self.X.shape[0] == 0:
+        n_particles, n_obs = z.shape[0], self.X.shape[0]
+        if n_obs == 0:
             return prior
-        probs = sigmoid(z @ self.X.T)  # (N, n)
-        return prior + (self.y[None, :] - probs) @ self.X
+        scratch = Scratch() if scratch is None else scratch
+        res = np.matmul(z, self.X.T, out=scratch.take(0, n_particles * n_obs).reshape(n_particles, n_obs))
+        half = (n_particles + 1) // 2 or 1
+        exps, masks = scratch.take(1, half * n_obs), scratch.take(2, half * n_obs, bool)
+        for start in range(0, n_particles, half):
+            u = res[start:start + half]
+            e = np.abs(u, out=exps[:u.size].reshape(u.shape))
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            nonneg = np.greater_equal(u, 0.0, out=masks[:u.size].reshape(u.shape))
+            np.less(u, 0.0, out=u)  # u is now the flag u < 0 as 0.0 or 1.0
+            np.multiply(u, e, out=u)
+            np.add(u, nonneg, out=u)
+            e += 1.0
+            u /= e
+        np.subtract(self.y, res, out=res)
+        return prior + res @ self.X
 
     def predict_proba(self, particles, X_test) -> np.ndarray:
         """Particle-averaged success probability per test row."""

@@ -1,0 +1,35 @@
+"""Work vectors that one run reuses from step to step.
+
+A :class:`Scratch` holds one flat vector per slot and grows a slot only when
+a caller asks for more than it holds, so the large temporaries of a step are
+allocated once per run instead of once per step. ``algorithms.run`` makes one
+per run and ``step`` passes it down to the kernel layer and to a model's
+``grad_z`` that takes a ``scratch`` keyword. A caller owns the slots it takes
+only until it returns. A scratch is never stored on a model (models stay
+immutable and pure) and never shared between runs or threads.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class Scratch:
+    """Flat float64 or bool vectors, one per slot, grown on demand."""
+
+    __slots__ = ("_vectors",)
+
+    def __init__(self) -> None:
+        self._vectors: dict[int, np.ndarray] = {}
+
+    def size(self, slot: int) -> int:
+        """The number of values slot ``slot`` holds now (0 if never taken)."""
+        vector = self._vectors.get(slot)
+        return 0 if vector is None else vector.size
+
+    def take(self, slot: int, size: int, dtype=np.float64) -> np.ndarray:
+        """The first ``size`` values of slot ``slot``, uninitialised; grows the slot if it is smaller."""
+        vector = self._vectors.get(slot)
+        if vector is None or vector.size < size or vector.dtype != dtype:
+            vector = self._vectors[slot] = np.empty(size, dtype)
+        return vector[:size]

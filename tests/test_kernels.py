@@ -20,6 +20,7 @@ from particle_em.kernels import (
     stein_direction,
 )
 from particle_em.models import GaussianHierarchicalModel, LatentSpaceNetworkModel
+from particle_em.scratch import Scratch
 from helpers import (
     assert_bitwise_equal,
     median_heuristic_naive,
@@ -98,6 +99,32 @@ class TestPairSqDists:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pair_sq_dists(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("call", [
+        pair_sq_dists, pairwise_sq_dists, median_heuristic,
+        lambda z: stein_direction(z, z, 1.0)], ids=["pair_sq_dists", "pairwise_sq_dists",
+                                                    "median_heuristic", "stein_direction"])
+    def test_rejects_a_cloud_without_coordinates(self, call):
+        with pytest.raises(ValueError, match=r"got shape \(4, 0\)"):
+            call(np.empty((4, 0)))
+
+    @staticmethod
+    def grown(values):
+        scratch = Scratch()
+        scratch.take(0, values), scratch.take(1, values)
+        return scratch
+
+    @pytest.mark.parametrize("n,d,values", [
+        (10, 178, 0), (10, 182, 0), (10, 183, 0),  # 45 pairs: under, at and one over a chunk of 8192 values
+        (9, 8193, 0), (3, 9000, 0), (2, 9000, 0), (2, 3, 0), (1, 9000, 0),  # rows longer than a chunk
+        (100, 30, 22750), (100, 30, 707 * 30), (100, 30, 4950 * 30),  # grown scratch: 7 chunks, a lone
+        (5, 9000, 3 * 9000), (10, 1, 8191), (2, 8193, 10**5)])         # last row, one chunk; and more
+    def test_chunks_match_the_dense_path_bitwise(self, n, d, values):
+        z = np.random.default_rng(n * d).standard_normal((n, d))
+        want = pairwise_sq_dists_naive(z)[np.triu_indices(n, 1)]
+        scratch = self.grown(values)
+        assert_bitwise_equal(pair_sq_dists(z, scratch), want)
+        assert scratch.size(0) == scratch.size(1) == values  # used, never grown
 
     @pytest.mark.parametrize("n,d", [(2, 1), (7, 3), (100, 30), (40, 9000)])
     def test_order_matches_scipy_pdist(self, n, d):
@@ -299,9 +326,9 @@ class TestSharedDistances:
         for name in ("pair_sq_dists", "pairwise_sq_dists"):
             inner = getattr(kernels, name)
 
-            def counted(particles, name=name, inner=inner):
+            def counted(particles, *scratch, name=name, inner=inner):
                 calls.append(name)
-                return inner(particles)
+                return inner(particles, *scratch)
 
             monkeypatch.setattr(kernels, name, counted)
         return calls
@@ -389,21 +416,41 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.n_i
 """
 
 
-def test_logreg_steps_reuse_their_pages():
-    """A warm 455x30 logistic fit at N=100 takes under one minor page fault per step.
-
-    The kernel's single (M, d) pair buffer is large enough that freeing it raises glibc's
-    mmap threshold above the size of the model's (N, n) temporaries, so later steps reuse
-    heap pages; gathering both row sets in small chunks instead costs some 200 fresh pages
-    a step. The fit runs in one fresh subprocess, so this process's heap cannot hide that, from
-    the file system root and with only PATH and PYTHONPATH set, so that the heap layout does
-    not depend on where the tests run or on the caller's environment (BLAS is not pinned).
-    """
+def _faults_per_warm_step(script: str) -> float:
+    """Run a fault script in one fresh subprocess, so this process's heap cannot hide a fault, from the
+    file system root and with only PATH and PYTHONPATH set, so that the heap layout does not depend on
+    where the tests run or on the caller's environment (BLAS is not pinned); return what it prints."""
     pytest.importorskip("resource")
     env = {"PATH": os.environ.get("PATH", os.defpath),
            "PYTHONPATH": str(Path(particle_em.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", FAULT_GUARD], env=env, cwd=os.path.abspath(os.sep),
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=os.path.abspath(os.sep),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    faults_per_step = float(proc.stdout.split()[-1])
+    return float(proc.stdout.split()[-1])
+
+
+def test_logreg_steps_reuse_their_pages():
+    """A warm 455x30 logistic fit at N=100 takes under one minor page fault per step.
+
+    The step's large temporaries, the pair-distance chunks and the logistic model's (N, n)
+    residuals, live in the run's scratch, which every step after the first reuses; so no step
+    faults in fresh pages, whatever glibc's mmap threshold. Allocating them afresh each step
+    costs some 200 fresh pages a step unless another layer happens to have raised that
+    threshold. What is left is the scratch's first touch in the measured run, spread over its
+    200 steps.
+    """
+    faults_per_step = _faults_per_warm_step(FAULT_GUARD)
+    assert faults_per_step < 1.0, f"{faults_per_step} minor page faults per warm step"
+
+
+#: the same fit under pgd, which builds no pair distances
+PGD_FAULT_GUARD = FAULT_GUARD.replace('"adaptive_coin_em"', '"pgd"').replace("record_every=200)",
+                                                                            "record_every=200, gamma=0.01)")
+
+
+def test_logreg_pgd_steps_reuse_their_pages():
+    """The pgd fit takes under one minor page fault per warm step too: its logistic residuals
+    live in the run's scratch, so their speed does not rest on a pair buffer that pgd never builds."""
+    assert PGD_FAULT_GUARD.count('"pgd"') == 2 and "gamma=0.01" in PGD_FAULT_GUARD
+    faults_per_step = _faults_per_warm_step(PGD_FAULT_GUARD)
     assert faults_per_step < 1.0, f"{faults_per_step} minor page faults per warm step"

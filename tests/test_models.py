@@ -18,6 +18,7 @@ from particle_em.models import (
     sigmoid,
 )
 from particle_em.models.base import particle_mean
+from particle_em.scratch import Scratch
 from helpers import (
     assert_bitwise_equal,
     assert_gradients_match_fd,
@@ -151,6 +152,49 @@ class TestLogisticRegression:
         z = np.full((1, 3), 1e3)
         assert np.all(np.isfinite(logreg.grad_z(np.zeros(1), z)))
         assert np.isfinite(logreg.log_joint(np.zeros(1), z[0]))
+
+    @staticmethod
+    def grad_z_seed(model, theta, z):
+        """The latent gradient as first written: prior + (y - sigmoid(z @ X.T)) @ X, in fresh arrays."""
+        prior = (theta[0] - z) / model.prior_var
+        return prior if model.X.shape[0] == 0 else prior + (model.y[None, :] - sigmoid(z @ model.X.T)) @ model.X
+
+    @pytest.mark.parametrize("entries", [[0.0, -0.0], [np.nan], [np.inf, -np.inf], [0.0, np.nan, -np.inf]])
+    def test_grad_z_matches_the_seed_formula_on_special_values(self, entries):
+        rng = np.random.default_rng(len(entries))
+        model = BayesianLogisticRegression(rng.standard_normal((40, 4)), rng.integers(0, 2, 40))
+        z = rng.standard_normal((9, 4))
+        z.flat[rng.choice(z.size, 12, replace=False)] = np.resize(entries, 12)
+        theta = np.array([0.3])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = self.grad_z_seed(model, theta, z)
+            assert_bitwise_equal(model.grad_z(theta, z), want)
+            assert_bitwise_equal(model.grad_z(theta, z, scratch=Scratch()), want)
+
+    def test_grad_z_matches_the_seed_formula_past_exp_underflow(self):
+        # logits of both signs beyond |u| = 745, where exp(-|u|) is 0, and near it
+        rng = np.random.default_rng(21)
+        model = BayesianLogisticRegression(rng.standard_normal((30, 3)), rng.integers(0, 2, 30))
+        z = np.concatenate([rng.standard_normal((4, 3)) * 1e3, rng.standard_normal((3, 3)) * 300.0])
+        u = z @ model.X.T
+        assert np.any(u > 745.0) and np.any(u < -745.0) and np.any(np.abs(u) < 745.0)
+        theta = np.array([-1.0])
+        assert_bitwise_equal(model.grad_z(theta, z, scratch=Scratch()), self.grad_z_seed(model, theta, z))
+
+    def test_grad_z_without_data_is_the_prior_gradient(self):
+        model = BayesianLogisticRegression(np.empty((0, 3)), np.empty(0, dtype=int))
+        z, theta = np.random.default_rng(22).standard_normal((5, 3)), np.array([0.5])
+        for scratch in (None, Scratch()):
+            assert_bitwise_equal(model.grad_z(theta, z, scratch=scratch), (theta[0] - z) / model.prior_var)
+
+    def test_one_scratch_serves_every_particle_count(self):
+        rng = np.random.default_rng(23)
+        model = BayesianLogisticRegression(rng.standard_normal((455, 30)), rng.integers(0, 2, 455))
+        scratch, theta = Scratch(), np.array([0.1])
+        for n in (100, 7, 1, 100, 301):
+            z = rng.standard_normal((n, 30))
+            assert_bitwise_equal(model.grad_z(theta, z, scratch=scratch), self.grad_z_seed(model, theta, z))
+        assert scratch.size(0) == 301 * 455
 
     def test_predict_all_zero_particles(self, logreg):
         probs = logreg.predict_proba(np.zeros((4, 3)), logreg.X)

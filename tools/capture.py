@@ -14,6 +14,9 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``adaptive_coin_em``; and ``pgd`` and old-theta ``adaptive_coin_em`` on a
   second model of that graph with ``embed_dim=3``, no latent prior and
   ``link_sign=+1``;
+- logreg: the library's logistic model on seeded 455x30 data at N=100, the
+  shape of the benchmark's ``logreg-synth`` fit, under ``svgd_em``,
+  ``adaptive_coin_em``, its old-theta variant and ``pgd``;
 - cli: the trace CSVs (and sweep summaries) of the c10 command, of every
   ``configs/*.cfg`` (``sweep`` for a config that sets ``sweep_param``, else
   ``run``), of a small particles sweep, of ``run`` on grid point 7 of
@@ -60,7 +63,7 @@ C10 = ["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles"
        "--iters", "50", "--seed", "10", "--name", "det"]
 PARTICLES_SWEEP = ["sweep", "--model", "toy", "--algorithm", "adaptive_coin_em", "--seed", "4",
                    "--sweep-param", "particles", "--sweep-values", "2,5,10", "--iters", "20"]
-GROUPS = ("golden", "toy", "network", "cli")
+GROUPS = ("golden", "toy", "network", "logreg", "cli")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def emit(out: Path, tiny: bool) -> None:
     from particle_em import cli
     from particle_em.algorithms import RunConfig
     from particle_em.data import generate_toy_data, load_edgelist
-    from particle_em.models import GaussianHierarchicalModel, LatentSpaceNetworkModel
+    from particle_em.models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
 
     spec = importlib.util.spec_from_file_location("golden_cases", ROOT / "tests" / "test_golden.py")
     golden = importlib.util.module_from_spec(spec)
@@ -170,6 +173,17 @@ def emit(out: Path, tiny: bool) -> None:
         config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=3,
                            record_every=every, **variant)
         _capture_run(arrays, f"network/e3-inf-plus/{key}", algorithm, network, config)
+
+    iters, every = (10, 5) if tiny else (200, 10)
+    rng = np.random.default_rng(455)
+    X = rng.standard_normal((455, 30))
+    y = (rng.random(455) < 1.0 / (1.0 + np.exp(-0.5 * X @ rng.standard_normal(30)))).astype(float)
+    logreg = BayesianLogisticRegression(X, y)
+    for key in ("svgd_em", "adaptive_coin_em", "adaptive_coin_em-old_theta", "pgd"):
+        algorithm, variant = runs[key]
+        config = RunConfig(n_particles=100, n_iters=iters, gamma=GAMMA.get(algorithm), seed=4,
+                           record_every=every, **variant)
+        _capture_run(arrays, f"logreg/{key}", algorithm, logreg, config)
 
     os.environ["PARTICLE_EM_WORKERS"] = "1"
     logging.getLogger().addHandler(logging.NullHandler())  # the CLI's log lines name paths and times
