@@ -115,10 +115,14 @@ class TestPairSqDists:
         return scratch
 
     @pytest.mark.parametrize("n,d,values", [
-        (10, 178, 0), (10, 182, 0), (10, 183, 0),  # 45 pairs: under, at and one over a chunk of 8192 values
-        (9, 8193, 0), (3, 9000, 0), (2, 9000, 0), (2, 3, 0), (1, 9000, 0),  # rows longer than a chunk
-        (100, 30, 22750), (100, 30, 707 * 30), (100, 30, 4950 * 30),  # grown scratch: 7 chunks, a lone
-        (5, 9000, 3 * 9000), (10, 1, 8191), (2, 8193, 10**5)])         # last row, one chunk; and more
+        # fresh chunks: the 45 pairs of 10 particles under, at and one row over a chunk of 8192 values
+        (10, 178, 0), (10, 182, 0), (10, 183, 0),
+        # rows longer than a chunk; one pair; no pair
+        (9, 8193, 0), (3, 9000, 0), (2, 9000, 0), (2, 3, 0), (1, 9000, 0),
+        # a grown scratch: 7 chunks; 7 chunks and a lone last row; one chunk; a lone last row of long
+        # rows; a scratch too small to use; one pair of long rows
+        (100, 30, 22750), (100, 30, 707 * 30), (100, 30, 4950 * 30),
+        (5, 9000, 3 * 9000), (10, 1, 8191), (2, 8193, 10**5)])
     def test_chunks_match_the_dense_path_bitwise(self, n, d, values):
         z = np.random.default_rng(n * d).standard_normal((n, d))
         want = pairwise_sq_dists_naive(z)[np.triu_indices(n, 1)]
