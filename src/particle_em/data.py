@@ -124,12 +124,8 @@ def load_csv(
         logger.info("dropped %d rows with missing values from %s", dropped, path)
     if not rows:
         logger.warning("%s contains no data rows", path)
-        X = np.empty((0, len(feature_names)))
-        y = np.empty((0,), dtype=int)
-    else:
-        X = np.asarray(rows, dtype=np.float64)
-        y = np.asarray(labels, dtype=int)
-    return TabularDataset(X=X, y=y, feature_names=feature_names, dropped_rows=dropped)
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feature_names))
+    return TabularDataset(X=X, y=np.asarray(labels, dtype=int), feature_names=feature_names, dropped_rows=dropped)
 
 
 def _features(path: str, row_no: int, header: list[str], cells: list[str], columns: list[int]) -> list[float]:

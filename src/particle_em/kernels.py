@@ -2,6 +2,9 @@
 
 Particle clouds are arrays of shape (N, d): one row per particle, every value
 finite. The kernel is k(z, z') = exp(-||z - z'||^2 / h) with bandwidth h > 0.
+Every public function here first checks its input by one rule: the cloud must
+be a non-empty (N, d) array with d >= 1, and a ``pair_sq`` must have the shape
+(M,) of that cloud's pairs; anything else is a ValueError that names the shape.
 
 The kernel layer works on the condensed vector of the M = N(N-1)/2 pair
 squared distances, in row-major i < j order (the order of scipy's ``pdist``):
@@ -41,13 +44,20 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, slot
 
 
-def _checked_pair_sq(pair_sq, n: int) -> np.ndarray:
-    m = n * (n - 1) // 2
-    pair_sq = np.asarray(pair_sq, dtype=np.float64)
-    if pair_sq.shape != (m,):
-        raise ValueError(f"pair_sq must be the ({m},) condensed pair distances of {n} particles, "
-                         f"got shape {pair_sq.shape}")
-    return pair_sq
+def _checked(particles, pair_sq=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cloud as a float64 (N, d) array with N >= 1 and d >= 1, and ``pair_sq``, if given, as a
+    float64 vector of the shape (M,) of its condensed pair distances; anything else is a ValueError."""
+    z = np.asarray(particles, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
+        raise ValueError(f"particles must be a non-empty (N, d) array with d >= 1, got shape {z.shape}")
+    if pair_sq is not None:
+        n = z.shape[0]
+        m = n * (n - 1) // 2
+        pair_sq = np.asarray(pair_sq, dtype=np.float64)
+        if pair_sq.shape != (m,):
+            raise ValueError(f"pair_sq must be the ({m},) condensed pair distances of {n} particles, "
+                             f"got shape {pair_sq.shape}")
+    return z, pair_sq
 
 
 def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
@@ -67,9 +77,7 @@ def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.n
     is exactly 0, as in the dense form; for a row holding inf or nan the dense
     form gives nan there (inf - inf) and the square form 0.
     """
-    z = np.asarray(particles, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError(f"particles must be a non-empty (N, d) array with d >= 1, got shape {z.shape}")
+    z = _checked(particles)[0]
     iu, ju, _ = _pair_table(z.shape[0])
     m, d = iu.size, z.shape[1]
     if m == 1:  # the one pair of two particles, reduced in a taller einsum (see the loop below)
@@ -110,11 +118,11 @@ def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None
     statistics. ``pair_sq``, if given, must equal ``pair_sq_dists(particles)``;
     it saves recomputing the distances.
     """
-    z = np.asarray(particles, dtype=np.float64)
+    z, pair_sq = _checked(particles, pair_sq)
     n = z.shape[0]
     if n < 2:
         return 1.0
-    pair_sq = pair_sq_dists(z) if pair_sq is None else _checked_pair_sq(pair_sq, n)
+    pair_sq = pair_sq_dists(z) if pair_sq is None else pair_sq
     # order statistics (m - 1) // 2 and m // 2 are the two middle values (one when m is odd).
     # sqrt is monotone and correctly rounded, so selecting before the sqrt matches np.median
     # exactly, and (a + b) / 2 in floats is the mean np.median takes of the two. One partition
@@ -139,13 +147,13 @@ def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = 
     h = float(h)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"bandwidth must be a finite positive number, got {h}")
-    n = np.shape(particles)[0]
-    pair_sq = pair_sq_dists(particles) if pair_sq is None else _checked_pair_sq(pair_sq, n)
+    z, pair_sq = _checked(particles, pair_sq)
+    pair_sq = pair_sq_dists(z) if pair_sq is None else pair_sq
     table = np.empty(pair_sq.size + 1)
     table[0] = 1.0
     pairs = table[1:]
     np.exp(np.divide(pair_sq, -h, out=pairs), out=pairs)
-    return table.take(_pair_table(n)[2])
+    return table.take(_pair_table(z.shape[0])[2])
 
 
 def stein_direction(
@@ -158,7 +166,7 @@ def stein_direction(
     kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i). ``pair_sq``,
     if given, must equal ``pair_sq_dists(particles)``.
     """
-    z = np.asarray(particles, dtype=np.float64)
+    z, pair_sq = _checked(particles, pair_sq)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != z.shape:
         raise ValueError(f"grads shape {g.shape} does not match particles shape {z.shape}")

@@ -23,19 +23,11 @@ def particle_mean(Z: np.ndarray) -> np.ndarray:
     return np.true_divide(np.add.reduce(Z, 0), Z.shape[0])
 
 
-def as_theta(theta, d_theta: int) -> np.ndarray:
-    """Coerce a scalar or array parameter to a float64 vector of length d_theta."""
-    arr = np.atleast_1d(np.asarray(theta, dtype=np.float64)).ravel()
-    if arr.shape != (d_theta,):
-        raise ValueError(f"theta must have {d_theta} component(s), got shape {arr.shape}")
-    return arr
-
-
-def as_latent(z, d_z: int) -> np.ndarray:
-    """Coerce a single latent vector to a flat float64 array of length d_z."""
-    arr = np.asarray(z, dtype=np.float64).ravel()
-    if arr.size != d_z:
-        raise ValueError(f"latent vector must have length {d_z}, got {arr.size}")
+def as_flat(x, size: int, what: str) -> np.ndarray:
+    """Coerce a scalar or array to a flat float64 vector of length ``size``: theta, or a single latent."""
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    if arr.size != size:
+        raise ValueError(f"{what} must have length {size}, got {arr.size}")
     return arr
 
 

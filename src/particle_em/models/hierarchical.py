@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
+from .base import LOG_2PI, Model, as_flat, as_particles
 
 
 class GaussianHierarchicalModel(Model):
@@ -24,19 +24,19 @@ class GaussianHierarchicalModel(Model):
         self.d_z = x.size
 
     def log_joint(self, theta, z) -> float:
-        t = as_theta(theta, 1)[0]
-        z = as_latent(z, self.d_z)
+        t = as_flat(theta, 1, "theta")[0]
+        z = as_flat(z, self.d_z, "latent vector")
         return float(
             -0.5 * np.sum((z - t) ** 2) - 0.5 * np.sum((self.x - z) ** 2) - self.d_z * LOG_2PI
         )
 
     def grad_theta(self, theta, particles) -> np.ndarray:
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         return np.add.reduce(z - t, 1, keepdims=True)  # .sum(axis=1, keepdims=True) without its dispatch
 
     def grad_z(self, theta, particles) -> np.ndarray:
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         return (t - z) + (self.x[None, :] - z)
 
@@ -46,7 +46,7 @@ class GaussianHierarchicalModel(Model):
 
     def posterior_moments(self, theta) -> tuple[np.ndarray, float]:
         """Exact posterior mean vector (theta + x)/2 and per-coordinate variance 0.5."""
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         return (t + self.x) / 2.0, 0.5
 
     def marginal_mstep(self, particles) -> np.ndarray:

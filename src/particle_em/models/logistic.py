@@ -13,7 +13,7 @@ import numpy as np
 
 from ..exceptions import ConfigError
 from ..scratch import Scratch
-from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
+from .base import LOG_2PI, Model, as_flat, as_particles
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -57,8 +57,8 @@ class BayesianLogisticRegression(Model):
         self.d_z = X.shape[1]
 
     def log_joint(self, theta, z) -> float:
-        t = as_theta(theta, 1)[0]
-        z = as_latent(z, self.d_z)
+        t = as_flat(theta, 1, "theta")[0]
+        z = as_flat(z, self.d_z, "latent vector")
         logits = self.X @ z
         loglik = float(np.sum(self.y * logits - softplus(logits)))
         prior = -0.5 * np.sum((z - t) ** 2) / self.prior_var
@@ -66,7 +66,7 @@ class BayesianLogisticRegression(Model):
         return loglik + prior
 
     def grad_theta(self, theta, particles) -> np.ndarray:
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         return (z - t).sum(axis=1, keepdims=True) / self.prior_var
 
@@ -78,7 +78,7 @@ class BayesianLogisticRegression(Model):
         sigmoid's select is ``e * (u < 0) + (u >= 0)``, which equals :func:`sigmoid`'s
         ``where`` bit for bit. Without ``scratch`` a fresh one is used.
         """
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         prior = (t - z) / self.prior_var
         n_particles, n_obs = z.shape[0], self.X.shape[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..exceptions import ConfigError
 from ..kernels import _pair_table
-from .base import LOG_2PI, Model, as_latent, as_particles, as_theta
+from .base import LOG_2PI, Model, as_flat, as_particles
 from .logistic import sigmoid, softplus
 
 #: distances below this are treated as coincident; the distance gradient is 0 there
@@ -77,27 +77,26 @@ class LatentSpaceNetworkModel(Model):
         """Y_ij - sigmoid(t + link_sign * dist_ij) over the pairs i < j; their sum is the theta-gradient."""
         return self._Y_pairs - sigmoid(t + self.link_sign * dist)
 
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Work buffers of :meth:`_latent_grad`: a weight table (2M + 1,), a unit-vector table
-        (2M + 1, e), each with a zero row 0, and the (n, n, e) unit vectors rebuilt from it.
-        Rows 1 .. M of the unit-vector table take the pair differences from :meth:`_pair_geometry`."""
-        rows = 2 * self._iu.size + 1
-        weights, units = np.empty(rows), np.empty((rows, self.embed_dim))
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Work buffers of :meth:`_latent_grad`: a weight table (2M + 1,) and a unit-vector table
+        (2M + 1, e), each with a zero row 0; the (n, n, e) unit vectors rebuilt from it; and rows
+        1 .. M of the unit-vector table, where :meth:`_pair_geometry` writes the pair differences."""
+        m = self._iu.size
+        weights, units = np.empty(2 * m + 1), np.empty((2 * m + 1, self.embed_dim))
         weights[0], units[0] = 0.0, 0.0
-        return weights, units, np.empty((self.n_nodes, self.n_nodes, self.embed_dim))
+        return weights, units, np.empty((self.n_nodes, self.n_nodes, self.embed_dim)), units[1:m + 1]
 
     def _latent_grad(self, pos, dist, resid, tables) -> np.ndarray:
         """Latent gradient (n, e) at positions pos from their pair distances and residuals.
 
-        ``tables`` comes from :meth:`_tables`, with the pair differences of pos in rows 1 .. M of
-        its unit-vector table; they become the unit vectors, and rows 1 .. 2M of both tables are
-        overwritten.
+        ``tables`` comes from :meth:`_tables`, with the pair differences of pos in its last one,
+        rows 1 .. M of its unit-vector table; they become the unit vectors, and rows 1 .. 2M of
+        both tables are overwritten.
         """
-        weights, units, unit = tables
+        weights, units, unit, upper = tables
         m = dist.size
         np.multiply(resid, self.link_sign, out=weights[1:m + 1])
         weights[m + 1:] = weights[1:m + 1]
-        upper = units[1:m + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(upper, dist[:, None], out=upper)
         coincident = ~(dist > _COINCIDENT_TOL)  # a nan distance too
@@ -115,8 +114,8 @@ class LatentSpaceNetworkModel(Model):
         return grad_pos
 
     def log_joint(self, theta, z) -> float:
-        t = as_theta(theta, 1)[0]
-        pos = as_latent(z, self.d_z).reshape(self.n_nodes, self.embed_dim)
+        t = as_flat(theta, 1, "theta")[0]
+        pos = as_flat(z, self.d_z, "latent vector").reshape(self.n_nodes, self.embed_dim)
         eta = t + self.link_sign * self._pair_geometry(pos)[1]
         total = float((self._Y_pairs * eta - softplus(eta)).sum())
         if np.isfinite(self.prior_var_z):
@@ -125,7 +124,7 @@ class LatentSpaceNetworkModel(Model):
         return total
 
     def grad_theta(self, theta, particles) -> np.ndarray:
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         out = np.empty((z.shape[0], 1))
         for k in range(z.shape[0]):
@@ -134,14 +133,13 @@ class LatentSpaceNetworkModel(Model):
         return out
 
     def grad_z(self, theta, particles) -> np.ndarray:
-        t = as_theta(theta, 1)[0]
+        t = as_flat(theta, 1, "theta")[0]
         z = as_particles(particles, self.d_z)
         out = np.empty_like(z)
         tables = self._tables()
-        diff = tables[1][1:self._iu.size + 1]
         for k in range(z.shape[0]):
             pos = z[k].reshape(self.n_nodes, self.embed_dim)
-            dist = self._pair_geometry(pos, out=diff)[1]
+            dist = self._pair_geometry(pos, out=tables[3])[1]
             out[k] = self._latent_grad(pos, dist, self._pair_residuals(t, dist), tables).ravel()
         return out
 
@@ -156,10 +154,9 @@ class LatentSpaceNetworkModel(Model):
         """
         theta, z = np.zeros(1), rng.standard_normal(self.d_z)
         tables = self._tables()
-        diff = tables[1][1:self._iu.size + 1]
         for _ in range(_INIT_ITERS):
             pos = z.reshape(self.n_nodes, self.embed_dim)
-            dist = self._pair_geometry(pos, out=diff)[1]
+            dist = self._pair_geometry(pos, out=tables[3])[1]
             theta = theta + _INIT_STEP * self._pair_residuals(theta[0], dist).sum()
             z = z + _INIT_STEP * self._latent_grad(pos, dist, self._pair_residuals(theta[0], dist),
                                                    tables).ravel()

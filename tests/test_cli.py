@@ -196,6 +196,17 @@ def test_bad_key_text_rejected(tmp_path, key, text, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"run_index": -1}, "run_index must be >= 0, got -1"),
+    ({"sweep_param": "iters", "sweep_values": [1.0]},
+     "sweep_param must be one of ('gamma', 'particles'), got 'iters'"),
+    ({"sweep_param": "particles", "sweep_values": [2.0, 2.5]}, "sweep over particles requires integer values"),
+    ({"model": "logreg"}, "logreg model requires data_path"),
+], ids=["run_index", "sweep_param", "particles_sweep", "data_path"])
+def test_validate_names_each_violation(changes, message):
+    assert validate(ExperimentConfig(**{"model": "toy", "algorithm": "adaptive_coin_em", **changes})) == [message]
+
+
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
         assert derive_seed(5, 1, 0) == derive_seed(5, 1, 0)

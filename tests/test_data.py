@@ -58,11 +58,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="nope"):
             load_csv(path, "nope", "1")
 
+    def test_label_only_csv_gives_rows_without_features(self, tmp_path):
+        ds = load_csv(write(tmp_path / "d.csv", "label\n1\n0\n1\n"), "label", "1")
+        assert ds.X.shape == (3, 0) and ds.X.dtype == np.float64 and ds.feature_names == []
+        np.testing.assert_array_equal(ds.y, [1, 0, 1])
+
     def test_drop_columns(self, tmp_path):
         path = write(tmp_path / "d.csv", "id,a,label\n9,1,1\n8,2,0\n")
         ds = load_csv(path, "label", "1", drop_columns=("id",))
         assert ds.feature_names == ["a"]
         np.testing.assert_array_equal(ds.X, [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("text,read,message", [
+    ("", lambda path, tmp: load_csv(path, "label", "1"), ": empty file, expected a header row"),
+    ("a,label\n1,0\n2,1,3\n", lambda path, tmp: load_csv(path, "label", "1"), ": row 3: expected 2 cells, got 3"),
+    ("n1 first\nn2\n", lambda path, tmp: load_edgelist(write(tmp / "edges.txt", "n1 n2\n"), path),
+     ": line 2: expected 'name label', got 'n2'"),
+], ids=["csv_empty_file", "csv_row_length", "labels_line_without_label"])
+def test_readers_name_each_malformed_file(tmp_path, text, read, message):
+    path = write(tmp_path / "input.txt", text)
+    with pytest.raises(ParseError, match=f"^{re.escape(path + message)}$"):
+        read(path, tmp_path)
 
 
 def test_content_lines_skip_blank_and_comment_lines(tmp_path):

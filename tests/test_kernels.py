@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,12 +102,18 @@ class TestPairSqDists:
             pair_sq_dists(np.empty((0, 2)))
 
     @pytest.mark.parametrize("call", [
-        pair_sq_dists, pairwise_sq_dists, median_heuristic,
-        lambda z: stein_direction(z, z, 1.0)], ids=["pair_sq_dists", "pairwise_sq_dists",
-                                                    "median_heuristic", "stein_direction"])
+        lambda z, p: pair_sq_dists(z), lambda z, p: pairwise_sq_dists(z),
+        lambda z, p: median_heuristic(z), lambda z, p: median_heuristic(z, pair_sq=p),
+        lambda z, p: rbf_matrix(z, 1.0), lambda z, p: rbf_matrix(z, 1.0, pair_sq=p),
+        lambda z, p: stein_direction(z, z, 1.0), lambda z, p: stein_direction(z, z, 1.0, pair_sq=p),
+    ], ids=["pair_sq_dists", "pairwise_sq_dists", "median_heuristic", "median_heuristic-pair_sq",
+            "rbf_matrix", "rbf_matrix-pair_sq", "stein_direction", "stein_direction-pair_sq"])
     def test_rejects_a_cloud_without_coordinates(self, call):
-        with pytest.raises(ValueError, match=r"got shape \(4, 0\)"):
-            call(np.empty((4, 0)))
+        # no coordinate, no particle, or not two axes; each with a pair_sq of the length its N has
+        for shape in [(1, 0), (0, 2), (3,), (1, 1, 1), (4, 0)]:
+            n = shape[0]
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                call(np.empty(shape), np.zeros(n * (n - 1) // 2))
 
     @staticmethod
     def grown(values):

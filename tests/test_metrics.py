@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,13 @@ class TestProcrustesAlign:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             procrustes_align(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: particle_moments(np.zeros(3)), "particles must be (N, d), got shape (3,)"),
+    (lambda: error_rate([0, 1], [0, 1, 1]), "length mismatch: (2,) vs (3,)"),
+    (lambda: procrustes_align(np.zeros((2, 3)), np.zeros((2, 3))), "expected (n, d) with n >= d, got shape (2, 3)"),
+], ids=["particle_moments", "test_error", "procrustes_align"])
+def test_metrics_name_each_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

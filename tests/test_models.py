@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -493,6 +494,23 @@ class TestMeanGradTheta:
     def test_network(self, case):
         model, theta, z = case
         assert_bitwise_equal(model.mean_grad_theta(theta, z), mean_grad_theta_base(model, theta, z))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BayesianLogisticRegression(np.zeros(3), np.zeros(3)), "X must be (n, d), got shape (3,)"),
+    (lambda: BayesianLogisticRegression(np.zeros((3, 2)), np.zeros(2)), "y must have length 3, got shape (2,)"),
+    (lambda: BayesianLogisticRegression(np.zeros((2, 2)), [0, 2]), "labels must be 0 or 1"),
+    (lambda: GaussianHierarchicalModel([1.0, np.nan]), "x must be a non-empty finite vector"),
+    (lambda: GaussianHierarchicalModel([]), "x must be a non-empty finite vector"),
+    (lambda: LatentSpaceNetworkModel(np.zeros((2, 3))), "adjacency must be square, got shape (2, 3)"),
+    (lambda: GaussianHierarchicalModel([1.0]).log_joint([0.0, 0.0], [0.0]), "theta must have length 1, got 2"),
+    (lambda: GaussianHierarchicalModel([1.0]).grad_z(np.zeros(0), np.zeros((3, 1))),
+     "theta must have length 1, got 0"),
+], ids=["logreg_X", "logreg_y", "logreg_labels", "toy_x_finite", "toy_x_empty", "network_square",
+        "theta_length", "theta_empty"])
+def test_models_name_each_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])

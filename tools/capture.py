@@ -8,6 +8,10 @@ extracted the same way). Each tree runs in its own interpreter with its own
 ``src/`` on the path. The capture set:
 
 - golden: every case of ``tests/test_golden.py``;
+- kernels: the five kernel functions on seeded clouds of the shapes in
+  ``KERNEL_SHAPES``, each function that takes ``pair_sq`` with and without it,
+  at the median-heuristic bandwidth, and ``pair_sq_dists`` with a grown
+  scratch at (100, 30);
 - toy: N=100 particles, d=10, all six algorithms;
 - network: four algorithms from the model's ``default_init`` on
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
@@ -63,7 +67,9 @@ C10 = ["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles"
        "--iters", "50", "--seed", "10", "--name", "det"]
 PARTICLES_SWEEP = ["sweep", "--model", "toy", "--algorithm", "adaptive_coin_em", "--seed", "4",
                    "--sweep-param", "particles", "--sweep-values", "2,5,10", "--iters", "20"]
-GROUPS = ("golden", "toy", "network", "logreg", "cli")
+GROUPS = ("golden", "kernels", "toy", "network", "logreg", "cli")
+#: (N, d) of the kernels group's clouds: one particle, one pair, and rows past a chunk of 8192 values
+KERNEL_SHAPES = ((1, 1), (2, 1), (3, 2), (100, 1), (100, 30), (2, 9000), (9, 8193))
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +94,27 @@ def _capture_run(arrays: dict, key: str, algorithm: str, model, config) -> None:
     arrays[f"{key}/final_theta"] = trace.final_theta
     arrays[f"{key}/final_particles"] = trace.final_particles
     arrays[f"{key}/diverged"] = np.array(diverged)
+
+
+def _capture_kernels(arrays: dict) -> None:
+    from particle_em import kernels
+    from particle_em.scratch import Scratch
+
+    for n, d in KERNEL_SHAPES:
+        rng = np.random.default_rng(n * d)
+        z, grads = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        pair_sq, key = kernels.pair_sq_dists(z), f"kernels/{n}x{d}"
+        arrays[f"{key}/pair_sq_dists"] = pair_sq
+        arrays[f"{key}/pairwise_sq_dists"] = kernels.pairwise_sq_dists(z)
+        for given, keyword in (("", {}), ("/pair_sq", {"pair_sq": pair_sq})):
+            h = kernels.median_heuristic(z, **keyword)
+            arrays[f"{key}/median_heuristic{given}"] = np.array(h)
+            arrays[f"{key}/rbf_matrix{given}"] = kernels.rbf_matrix(z, h, **keyword)
+            arrays[f"{key}/stein_direction{given}"] = kernels.stein_direction(z, grads, h, **keyword)
+        if (n, d) == (100, 30):  # seven chunks of rows in a scratch grown by a model
+            scratch = Scratch()
+            scratch.take(0, 22750), scratch.take(1, 22750)
+            arrays[f"{key}/pair_sq_dists/scratch"] = kernels.pair_sq_dists(z, scratch)
 
 
 def _synthetic_logreg_csv(path: Path, label_column: str, positive_label: str) -> None:
@@ -150,6 +177,7 @@ def emit(out: Path, tiny: bool) -> None:
     built = {name: build() for name, (build, _) in golden.MODELS.items()}
     for case_id, model_name, config in golden.CASES:
         _capture_run(arrays, f"golden/{case_id}", case_id.split("/")[1], built[model_name], config)
+    _capture_kernels(arrays)
 
     iters, every = (10, 5) if tiny else (200, 10)
     toy = GaussianHierarchicalModel(generate_toy_data(10, 1.0, 5)[0])
