@@ -103,7 +103,7 @@ def _capture_kernels(arrays: dict) -> None:
     for n, d in KERNEL_SHAPES:
         rng = np.random.default_rng(n * d)
         z, grads = rng.standard_normal((n, d)), rng.standard_normal((n, d))
-        pair_sq, key = kernels.pair_sq_dists(z), f"kernels/{n}x{d}"
+        key, pair_sq = f"kernels/{n}x{d}", kernels.pair_sq_dists(z)
         arrays[f"{key}/pair_sq_dists"] = pair_sq
         arrays[f"{key}/pairwise_sq_dists"] = kernels.pairwise_sq_dists(z)
         for given, keyword in (("", {}), ("/pair_sq", {"pair_sq": pair_sq})):
