@@ -42,15 +42,13 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "PARTICLE_EM_WORKERS"
 
-_SEED_MASK = (1 << 64) - 1
-
 #: the final metric a sweep summarizes each grid point by, unless ``sweep_metric`` names another
 SUMMARY_METRICS = {"toy": "theta_mse", "logreg": "test_error", "network": "mean_log_joint"}
 
 
 def derive_seed(master_seed: int, *stream: int) -> int:
-    """Deterministic 64-bit seed for one stream of a master seed."""
-    ss = np.random.SeedSequence([master_seed & _SEED_MASK, *stream])
+    """Deterministic 64-bit seed for one stream of a master seed; all are non-negative integers of any size."""
+    ss = np.random.SeedSequence([master_seed, *stream])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -159,8 +159,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     for key in _PATH_KEYS:
         if "\0" in (getattr(config, key) or ""):
             problems.append(f"{key} must not contain a NUL byte, got {getattr(config, key)!r}")
-    if config.run_index < 0:
-        problems.append(f"run_index must be >= 0, got {config.run_index}")
+    for key in ("seed", "run_index"):  # the master seed and the run's stream; run_config carries neither
+        if getattr(config, key) < 0:
+            problems.append(f"{key} must be >= 0, got {getattr(config, key)}")
     if config.link_sign not in LINK_SIGNS:
         problems.append(f"link_sign must be {' or '.join(map(repr, LINK_SIGNS))}, got {config.link_sign!r}")
     if config.sweep_param is not None:

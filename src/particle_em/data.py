@@ -23,12 +23,13 @@ MAX_FLOAT64S = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 @contextmanager
 def _utf8_text(path: str, **kwargs) -> Iterator[TextIO]:
-    """``open(path, encoding="utf-8")``; a byte that is not UTF-8 is a :class:`ParseError` naming its line.
+    """``open(path, encoding="utf-8-sig")``; a byte that is not UTF-8 is a :class:`ParseError` naming its line.
 
-    The text is read as it always is; only when decoding fails is the file read again as bytes, to find
-    the line, numbered as the text read numbers it (bytes.splitlines ends a line where it does).
+    A leading byte-order mark is read as nothing. The text is read as it always is; only when decoding
+    fails is the file read again as bytes, to find the line, numbered as the text read numbers it
+    (bytes.splitlines ends a line where it does; the mark's three bytes are valid UTF-8).
     """
-    with open(path, encoding="utf-8", **kwargs) as fh:
+    with open(path, encoding="utf-8-sig", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

@@ -5,6 +5,7 @@ finite. The kernel is k(z, z') = exp(-||z - z'||^2 / h) with bandwidth h > 0.
 Every public function here first checks its input by one rule: the cloud must
 be a non-empty (N, d) array with d >= 1, and a ``pair_sq`` must have the shape
 (M,) of that cloud's pairs; anything else is a ValueError that names the shape.
+The models and metrics check their clouds by the same rule, with their width d.
 
 The kernel layer works on the condensed vector of the M = N(N-1)/2 pair
 squared distances, in row-major i < j order (the order of scipy's ``pdist``):
@@ -44,12 +45,14 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, slot
 
 
-def _checked(particles, pair_sq=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The cloud as a float64 (N, d) array with N >= 1 and d >= 1, and ``pair_sq``, if given, as a
-    float64 vector of the shape (M,) of its condensed pair distances; anything else is a ValueError."""
+def _checked(particles, pair_sq=None, d=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cloud as a float64 (N, d) array with N >= 1 and d >= 1 (d equal to ``d``, if given), and ``pair_sq``,
+    if given, as a float64 vector of the shape (M,) of its condensed pair distances; anything else is a
+    ValueError. The package's one particle-cloud rule: the models and metrics check their clouds here too."""
     z = np.asarray(particles, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
-        raise ValueError(f"particles must be a non-empty (N, d) array with d >= 1, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1 or d not in (None, z.shape[1]):
+        width = f"{d}) array" if d else "d) array with d >= 1"
+        raise ValueError(f"particles must be a non-empty (N, {width}, got shape {z.shape}")
     if pair_sq is not None:
         n = z.shape[0]
         m = n * (n - 1) // 2

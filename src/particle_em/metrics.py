@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _checked
+
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared componentwise difference of two equal-length vectors."""
@@ -19,9 +21,7 @@ def particle_moments(particles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Requires N >= 2 particles for the variance to be defined.
     """
-    z = np.asarray(particles, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"particles must be (N, d), got shape {z.shape}")
+    z = _checked(particles)[0]
     if z.shape[0] < 2:
         raise ValueError("variance needs at least 2 particles")
     return z.mean(axis=0), z.var(axis=0, ddof=1)

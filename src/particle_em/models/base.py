@@ -2,9 +2,9 @@
 
 A model is the unnormalized joint density pi_theta(z) of latents z and fixed
 observations, exposed through its log density and analytic gradients. Gradient
-methods are batched over particles: ``particles`` is always (N, d_z) and theta
-is a flat (d_theta,) vector. Models are immutable after construction and all
-evaluations are pure.
+methods are batched over particles: ``particles`` is a non-empty (N, d_z) cloud
+by the kernel layer's one rule, and theta is a flat (d_theta,) vector. Models
+are immutable after construction and all evaluations are pure.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ def as_flat(x, size: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size != size:
         raise ValueError(f"{what} must have length {size}, got {arr.size}")
-    return arr
-
-
-def as_particles(particles, d_z: int) -> np.ndarray:
-    """Coerce input to a float64 (N, d_z) particle array."""
-    arr = np.asarray(particles, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != d_z:
-        raise ValueError(f"particles must be (N, {d_z}), got shape {arr.shape}")
     return arr
 
 

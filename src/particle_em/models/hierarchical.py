@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LOG_2PI, Model, as_flat, as_particles
+from ..kernels import _checked
+from .base import LOG_2PI, Model, as_flat
 
 
 class GaussianHierarchicalModel(Model):
@@ -32,12 +33,12 @@ class GaussianHierarchicalModel(Model):
 
     def grad_theta(self, theta, particles) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         return np.add.reduce(z - t, 1, keepdims=True)  # .sum(axis=1, keepdims=True) without its dispatch
 
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         return (t - z) + (self.x[None, :] - z)
 
     def theta_star(self) -> float:
@@ -50,7 +51,7 @@ class GaussianHierarchicalModel(Model):
         return (t + self.x) / 2.0, 0.5
 
     def marginal_mstep(self, particles) -> np.ndarray:
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         return np.array([z.mean()])
 
     def default_init(self, n_particles, rng):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigError
+from ..kernels import _checked
 from ..scratch import Scratch
-from .base import LOG_2PI, Model, as_flat, as_particles
+from .base import LOG_2PI, Model, as_flat
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -67,7 +68,7 @@ class BayesianLogisticRegression(Model):
 
     def grad_theta(self, theta, particles) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         return (z - t).sum(axis=1, keepdims=True) / self.prior_var
 
     def grad_z(self, theta, particles, scratch: Scratch | None = None) -> np.ndarray:
@@ -79,7 +80,7 @@ class BayesianLogisticRegression(Model):
         ``where`` bit for bit. Without ``scratch`` a fresh one is used.
         """
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         prior = (t - z) / self.prior_var
         n_particles, n_obs = z.shape[0], self.X.shape[0]
         if n_obs == 0:
@@ -104,7 +105,7 @@ class BayesianLogisticRegression(Model):
 
     def predict_proba(self, particles, X_test) -> np.ndarray:
         """Particle-averaged success probability per test row."""
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         X_test = np.asarray(X_test, dtype=np.float64)
         if X_test.ndim != 2 or X_test.shape[1] != self.d_z:
             raise ValueError(f"X_test must be (m, {self.d_z}), got shape {X_test.shape}")

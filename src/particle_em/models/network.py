@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..kernels import _pair_table
-from .base import LOG_2PI, Model, as_flat, as_particles
+from ..kernels import _checked, _pair_table
+from .base import LOG_2PI, Model, as_flat
 from .logistic import sigmoid, softplus
 
 #: distances below this are treated as coincident; the distance gradient is 0 there
@@ -125,7 +125,7 @@ class LatentSpaceNetworkModel(Model):
 
     def grad_theta(self, theta, particles) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         out = np.empty((z.shape[0], 1))
         for k in range(z.shape[0]):
             dist = self._pair_geometry(z[k].reshape(self.n_nodes, self.embed_dim))[1]
@@ -134,7 +134,7 @@ class LatentSpaceNetworkModel(Model):
 
     def grad_z(self, theta, particles) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
-        z = as_particles(particles, self.d_z)
+        z = _checked(particles, d=self.d_z)[0]
         out = np.empty_like(z)
         tables = self._tables()
         for k in range(z.shape[0]):

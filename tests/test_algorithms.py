@@ -469,6 +469,8 @@ class TestRunLoop:
         its, vals = trace.metric_values("theta_sq")
         assert list(its) == [0, 1, 2, 3, 4]
         assert np.all(np.isfinite(vals))
+        with pytest.raises(KeyError, match="metric 'theta_cube' was never recorded"):
+            trace.metric_values("theta_cube")
 
     def test_frozen_bandwidth_changes_dynamics(self):
         m = toy_model(d_z=3)

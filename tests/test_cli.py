@@ -198,11 +198,12 @@ def test_bad_key_text_rejected(tmp_path, key, text, message):
 
 @pytest.mark.parametrize("changes,message", [
     ({"run_index": -1}, "run_index must be >= 0, got -1"),
+    ({"seed": -5}, "seed must be >= 0, got -5"),
     ({"sweep_param": "iters", "sweep_values": [1.0]},
      "sweep_param must be one of ('gamma', 'particles'), got 'iters'"),
     ({"sweep_param": "particles", "sweep_values": [2.0, 2.5]}, "sweep over particles requires integer values"),
     ({"model": "logreg"}, "logreg model requires data_path"),
-], ids=["run_index", "sweep_param", "particles_sweep", "data_path"])
+], ids=["run_index", "seed", "sweep_param", "particles_sweep", "data_path"])
 def test_validate_names_each_violation(changes, message):
     assert validate(ExperimentConfig(**{"model": "toy", "algorithm": "adaptive_coin_em", **changes})) == [message]
 
@@ -212,6 +213,17 @@ class TestDeriveSeed:
         assert derive_seed(5, 1, 0) == derive_seed(5, 1, 0)
         assert derive_seed(5, 1, 0) != derive_seed(5, 1, 1)
         assert derive_seed(5, 0) != derive_seed(6, 0)
+
+    def test_seeds_past_64_bits_stay_distinct(self):
+        assert derive_seed(2**64 + 3, 0) != derive_seed(3, 0)
+
+    def test_negative_master_seed_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = main(["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--iters", "3",
+                     "--seed", "-5", "--out", str(out)])
+        assert code == 2
+        assert "seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -729,6 +741,12 @@ class TestDumpCommand:
         coord_cols = [c for c in rows[0] if c.startswith("z")]
         assert coord_cols == ["z0"]
         assert {r["iteration"] for r in rows} == {"3"}
+
+    def test_unknown_snapshot_is_a_config_error(self, tmp_path):
+        cfg = parse_config(None, {"model": "toy", "algorithm": "adaptive_coin_em", "output_dir": str(tmp_path)})
+        with pytest.raises(ConfigError, match="snapshot must be 'init' or 'final', got 'middle'"):
+            dump_particles(cfg, at="middle")
+        assert list(tmp_path.iterdir()) == []
 
     def test_initial_snapshot_moments(self, tmp_path):
         # toy initialization draws particles from a standard normal

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from particle_em.config import read_config_file
 from particle_em.data import (
     MAX_FLOAT64S,
     AdjacencyNetwork,
@@ -38,6 +39,11 @@ class TestLoadCsv:
         ds = load_csv(path, "label", "1")
         assert ds.n == 2
         assert ds.dropped_rows == 2
+
+    def test_rows_of_empty_cells_skipped_and_not_counted(self, tmp_path):
+        path = write(tmp_path / "d.csv", "a,b,label\n1,2,1\n,,\n , ,\n3,4,0\n")
+        ds = load_csv(path, "label", "1")
+        assert (ds.n, ds.dropped_rows) == (2, 0)
 
     def test_non_numeric_cell_names_location(self, tmp_path):
         path = write(tmp_path / "d.csv", "a,b,label\n1,2,1\n1,oops,0\n")
@@ -85,6 +91,34 @@ def test_readers_name_each_malformed_file(tmp_path, text, read, message):
 def test_content_lines_skip_blank_and_comment_lines(tmp_path):
     path = write(tmp_path / "f.txt", "# head\n\n  a = 1  \n\t\n  # indented comment\nb c # not a comment\n")
     assert list(content_lines(path)) == [(3, "a = 1"), (6, "b c # not a comment")]
+
+
+#: one case per reader: the file's text after the mark, how to read it, and what that text alone reads as
+BOM_CASES = {
+    "config": ("model = toy\n", lambda path, tmp: read_config_file(path), {"model": "toy"}),
+    "edgelist": ("a b\nb c\nc a\na d\n", lambda path, tmp: load_edgelist(path).node_labels,
+                 ["a", "b", "c", "d"]),
+    "labels": ("a first\nb second\n",
+               lambda path, tmp: load_edgelist(write(tmp / "edges.txt", "a b\n"), path).node_labels,
+               ["first", "second"]),
+    "csv": ("label,a\n1,2\n0,3\n", lambda path, tmp: load_csv(path, "label", "1").X.tolist(), [[2.0], [3.0]]),
+}
+
+
+@pytest.mark.parametrize("name", BOM_CASES)
+def test_readers_read_a_leading_byte_order_mark_as_nothing(tmp_path, name):
+    text, read, expected = BOM_CASES[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(str(path), tmp_path) == expected
+
+
+def test_a_byte_order_mark_leaves_the_bad_line_number(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xef\xbb\xbfa,label\n1,0\n2,\xe9\n")
+    for read in (lambda: list(content_lines(str(path))), lambda: load_csv(str(path), "label", "1")):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: byte 0xe9 is not UTF-8 text$"):
+            read()
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
@@ -149,6 +183,10 @@ class TestTrainTestSplit:
         train, test = train_test_split(ds, 0.25, 2)
         assert train.feature_stds[1] == 1.0
         np.testing.assert_allclose(train.X[:, 1], 0.0, atol=1e-12)
+
+    def test_denormalizing_an_unnormalized_dataset_is_refused(self):
+        with pytest.raises(ValueError, match="^dataset is not normalized$"):
+            self.make().denormalized()
 
     def test_normalization_round_trip(self):
         ds = self.make(30)

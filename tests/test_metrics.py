@@ -114,7 +114,8 @@ class TestProcrustesAlign:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: particle_moments(np.zeros(3)), "particles must be (N, d), got shape (3,)"),
+    (lambda: particle_moments(np.zeros(3)),
+     "particles must be a non-empty (N, d) array with d >= 1, got shape (3,)"),
     (lambda: error_rate([0, 1], [0, 1, 1]), "length mismatch: (2,) vs (3,)"),
     (lambda: procrustes_align(np.zeros((2, 3)), np.zeros((2, 3))), "expected (n, d) with n >= d, got shape (2, 3)"),
 ], ids=["particle_moments", "test_error", "procrustes_align"])

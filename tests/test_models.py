@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 
 from particle_em.data import generate_toy_data
 from particle_em.exceptions import ConfigError
+from particle_em.metrics import particle_moments
 from particle_em.models import (
     BayesianLogisticRegression,
     GaussianHierarchicalModel,
@@ -511,6 +512,38 @@ class TestMeanGradTheta:
 def test_models_name_each_malformed_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+#: every model method that takes a particle cloud, and particle_moments, as (model fixture or None, call)
+CLOUD_CALLS = {
+    "toy-grad_theta": ("toy", lambda m, z: m.grad_theta(np.zeros(1), z)),
+    "toy-grad_z": ("toy", lambda m, z: m.grad_z(np.zeros(1), z)),
+    "toy-mean_grad_theta": ("toy", lambda m, z: m.mean_grad_theta(np.zeros(1), z)),
+    "toy-marginal_mstep": ("toy", lambda m, z: m.marginal_mstep(z)),
+    "logreg-grad_theta": ("logreg", lambda m, z: m.grad_theta(np.zeros(1), z)),
+    "logreg-grad_z": ("logreg", lambda m, z: m.grad_z(np.zeros(1), z)),
+    "logreg-mean_grad_theta": ("logreg", lambda m, z: m.mean_grad_theta(np.zeros(1), z)),
+    "logreg-predict_proba": ("logreg", lambda m, z: m.predict_proba(z, m.X)),
+    "logreg-predict": ("logreg", lambda m, z: m.predict(z, m.X)),
+    "network-grad_theta": ("network", lambda m, z: m.grad_theta(np.zeros(1), z)),
+    "network-grad_z": ("network", lambda m, z: m.grad_z(np.zeros(1), z)),
+    "network-mean_grad_theta": ("network", lambda m, z: m.mean_grad_theta(np.zeros(1), z)),
+    "particle_moments": (None, lambda m, z: particle_moments(z)),
+}
+
+
+@pytest.mark.parametrize("kind", ["empty", "vector", "width"])
+@pytest.mark.parametrize("name", CLOUD_CALLS)
+def test_cloud_takers_refuse_what_is_not_a_cloud(name, kind, request):
+    # one rule, the kernel layer's: a non-empty (N, d) array of the model's width d (any d >= 1 for the metric)
+    fixture_name, call = CLOUD_CALLS[name]
+    model = request.getfixturevalue(fixture_name) if fixture_name else None
+    d = model.d_z if model else 2
+    cloud = {"empty": np.zeros((0, d)), "vector": np.zeros(d), "width": np.zeros((3, d + 1 if model else 0))}[kind]
+    width = f"{d}) array" if model else "d) array with d >= 1"
+    message = f"particles must be a non-empty (N, {width}, got shape {cloud.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(model, cloud)
 
 
 @pytest.mark.parametrize("fixture_name", ["toy", "logreg", "network"])

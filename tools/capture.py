@@ -12,6 +12,10 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``KERNEL_SHAPES``, each function that takes ``pair_sq`` with and without it,
   at the median-heuristic bandwidth, and ``pair_sq_dists`` with a grown
   scratch at (100, 30);
+- models: each model's cloud methods called directly (``grad_theta``,
+  ``grad_z``, ``mean_grad_theta``, the toy ``marginal_mstep`` and the
+  logistic ``predict_proba``) on seeded clouds of ``MODEL_SIZES`` particles,
+  for the toy, network and logreg models of the groups below;
 - toy: N=100 particles, d=10, all six algorithms;
 - network: four algorithms from the model's ``default_init`` on
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
@@ -67,9 +71,11 @@ C10 = ["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles"
        "--iters", "50", "--seed", "10", "--name", "det"]
 PARTICLES_SWEEP = ["sweep", "--model", "toy", "--algorithm", "adaptive_coin_em", "--seed", "4",
                    "--sweep-param", "particles", "--sweep-values", "2,5,10", "--iters", "20"]
-GROUPS = ("golden", "kernels", "toy", "network", "logreg", "cli")
+GROUPS = ("golden", "kernels", "models", "toy", "network", "logreg", "cli")
 #: (N, d) of the kernels group's clouds: one particle, one pair, and rows past a chunk of 8192 values
 KERNEL_SHAPES = ((1, 1), (2, 1), (3, 2), (100, 1), (100, 30), (2, 9000), (9, 8193))
+#: N of the models group's clouds: one particle, one pair, and a small cloud
+MODEL_SIZES = (1, 2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,21 @@ def _capture_kernels(arrays: dict) -> None:
             scratch = Scratch()
             scratch.take(0, 22750), scratch.take(1, 22750)
             arrays[f"{key}/pair_sq_dists/scratch"] = kernels.pair_sq_dists(z, scratch)
+
+
+def _capture_models(arrays: dict, models: dict) -> None:
+    for name, model in models.items():
+        for n in MODEL_SIZES:
+            rng = np.random.default_rng(n)
+            theta, z = rng.standard_normal(1), rng.standard_normal((n, model.d_z))
+            key = f"models/{name}/{n}"
+            arrays[f"{key}/grad_theta"] = model.grad_theta(theta, z)
+            arrays[f"{key}/grad_z"] = model.grad_z(theta, z)
+            arrays[f"{key}/mean_grad_theta"] = model.mean_grad_theta(theta, z)
+            if name == "toy":
+                arrays[f"{key}/marginal_mstep"] = model.marginal_mstep(z)
+            if name == "logreg":
+                arrays[f"{key}/predict_proba"] = model.predict_proba(z, model.X)
 
 
 def _synthetic_logreg_csv(path: Path, label_column: str, positive_label: str) -> None:
@@ -195,7 +216,9 @@ def emit(out: Path, tiny: bool) -> None:
                            record_every=every, **variant)
         _capture_run(arrays, f"network/{key}", algorithm, network, config)
     # the other branches of the network model's per-position helpers: e = 3, no prior, link +1
+    models = {"toy": toy, "network": network}
     network = LatentSpaceNetworkModel(network.Y, embed_dim=3, prior_var_z=np.inf, link_sign=1.0)
+    models["network-e3-inf-plus"] = network
     for key in ("pgd", "adaptive_coin_em-old_theta"):
         algorithm, variant = runs[key]
         config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=3,
@@ -212,6 +235,7 @@ def emit(out: Path, tiny: bool) -> None:
         config = RunConfig(n_particles=100, n_iters=iters, gamma=GAMMA.get(algorithm), seed=4,
                            record_every=every, **variant)
         _capture_run(arrays, f"logreg/{key}", algorithm, logreg, config)
+    _capture_models(arrays, {**models, "logreg": logreg})
 
     os.environ["PARTICLE_EM_WORKERS"] = "1"
     logging.getLogger().addHandler(logging.NullHandler())  # the CLI's log lines name paths and times

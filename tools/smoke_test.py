@@ -31,7 +31,7 @@ def test_capture_finds_nothing_between_head_and_itself():
     proc = _tool("tools/capture.py", "HEAD", "--change", "HEAD", "--tiny")
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     counts = {line.split()[0]: line.split() for line in proc.stdout.splitlines() if "compared," in line}
-    assert set(counts) == {"golden", "kernels", "toy", "network", "logreg", "cli", "total"}
+    assert set(counts) == {"golden", "kernels", "models", "toy", "network", "logreg", "cli", "total"}
     for name, words in counts.items():
         assert int(words[1]) > 0 and words[3] == "0", (name, words)
 
