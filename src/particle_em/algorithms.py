@@ -22,7 +22,9 @@ input. Any non-finite value in an updated state aborts with :class:`DivergedErro
 
 from __future__ import annotations
 
-import inspect
+import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -102,11 +104,6 @@ def _require_finite(what: str, arr: np.ndarray) -> None:
         raise DivergedError(f"non-finite values in {what}")
 
 
-def _grad_z(model: Model, theta: np.ndarray, z: np.ndarray, scratch: Scratch | None) -> np.ndarray:
-    # a model whose grad_z takes no scratch gets none: run passes one only to a model that takes it
-    return model.grad_z(theta, z) if scratch is None else model.grad_z(theta, z, scratch=scratch)
-
-
 def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None,
                scratch: Scratch | None) -> np.ndarray:
     """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
@@ -118,7 +115,7 @@ def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None,
     # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, _grad_z(model, theta, z, scratch), bandwidth, pair_sq=pair_sq)
+    return stein_direction(z, model.grad_z(theta, z, scratch=scratch), bandwidth, pair_sq=pair_sq)
 
 
 def _kt(x0, x, c, acc: KT, t: int):
@@ -175,7 +172,7 @@ def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: flo
     ``particle_grads_use_new_theta`` is False. Under ``mstep`` that theta is
     the M-step of the old cloud, and the returned one is that of the new cloud.
     ``scratch`` (see :mod:`particle_em.scratch`) goes to the pair distances
-    and to ``model.grad_z``, which must then take a ``scratch`` keyword.
+    and to ``model.grad_z``.
     """
     theta, z, gamma, t = state.theta, state.particles, state.gamma, state.t + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +183,8 @@ def step(state: State, model: Model, theta_rule: str, particle_rule: str, h: flo
             theta_new, theta_acc = _move(theta_rule, state.theta0, theta, g_bar, state.theta_acc, t, gamma, denominator)
             _require_finite("theta update", theta_new)
         if particle_rule == "langevin":
-            z_new = z + gamma * _grad_z(model, theta, z, scratch) + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape)
+            z_new = (z + gamma * model.grad_z(theta, z, scratch=scratch)
+                     + np.sqrt(2.0 * gamma) * rng.standard_normal(z.shape))
             particle_acc = state.particle_acc
         else:
             phi = _direction(model, theta_new if particle_grads_use_new_theta else theta, z, h, scratch)
@@ -280,12 +278,15 @@ class Trace:
 class RunOptions:
     """The optimizer settings of a run, each with its default.
 
-    ``gamma`` is required for the learning-rate algorithms and must be absent
-    for the coin variants. ``bandwidth`` fixes the kernel bandwidth;
-    ``freeze_bandwidth`` computes it once from the initial cloud instead of at
-    every iteration. ``adaptive_denominator`` is read only by
-    ``adaptive_coin_em``, and ``particle_grads_use_new_theta`` only by
-    ``coin_em`` and ``adaptive_coin_em``; the other algorithms ignore both.
+    ``gamma`` (a finite positive real number) is required for the learning-rate
+    algorithms and must be None for the coin variants. ``bandwidth`` (None or a
+    finite positive real number) fixes the kernel bandwidth; ``freeze_bandwidth``
+    (a bool) computes it once from the initial cloud instead of at every
+    iteration. ``record_every`` is a positive integer. ``adaptive_denominator``
+    (``"standard"`` or ``"bnn"``) is read only by ``adaptive_coin_em``, and
+    ``particle_grads_use_new_theta`` (a bool) only by ``coin_em`` and
+    ``adaptive_coin_em``; the other algorithms ignore both. Real numbers,
+    integers and bools may be numpy scalars; a bool is never a number.
     """
 
     gamma: float | None = None
@@ -302,10 +303,10 @@ class RunConfig(RunOptions):
 
     ``n_particles``, ``n_iters``, ``record_every`` and ``seed`` are integers
     (numpy integers too, never bool), ``seed`` non-negative. ``init``
-    optionally overrides the model's default (theta0, particles0): d_theta
-    entries and an (n_particles, d_z) cloud, all finite. ``metric_hooks`` maps
-    metric names to callables ``f(theta, particles) -> float`` evaluated at
-    every recorded iteration.
+    optionally overrides the model's default with a (theta0, particles0) pair:
+    d_theta entries and an (n_particles, d_z) cloud, all finite.
+    ``metric_hooks`` maps metric names (str) to callables
+    ``f(theta, particles) -> float`` evaluated at every recorded iteration.
     """
 
     n_particles: int = 10
@@ -313,6 +314,19 @@ class RunConfig(RunOptions):
     seed: int = 0
     init: tuple[np.ndarray, np.ndarray] | None = None
     metric_hooks: dict[str, Callable[[np.ndarray, np.ndarray], float]] = field(default_factory=dict)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` (a :mod:`numbers` class); numpy scalars are, a bool never is."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_positive_real(value) -> bool:
+    """Whether ``value`` is a real number that is positive and finite as a float64."""
+    try:  # float(), not np.isfinite, which refuses a Python int past int64
+        return _is_number(value) and 0 < float(value) < math.inf
+    except OverflowError:  # a Python int past the largest float64
+        return False
 
 
 def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) -> list[str]:
@@ -328,32 +342,42 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     elif "gd" in rules:  # the learning-rate algorithms
         if config.gamma is None:
             problems.append(f"gamma is required for algorithm {algorithm!r}")
-        elif not np.isfinite(config.gamma) or config.gamma <= 0:
-            problems.append(f"gamma must be a finite positive number, got {config.gamma}")
+        elif not _is_positive_real(config.gamma):
+            problems.append(f"gamma must be a finite positive number, got {config.gamma!r}")
     elif config.gamma is not None:
         problems.append(f"gamma is forbidden for coin algorithm {algorithm!r}")
     for name, low in (("n_particles", 1), ("n_iters", 0), ("record_every", 1), ("seed", 0)):
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_number(value, numbers.Integral):
             problems.append(f"{name} must be an integer, got {value!r}")
         elif value < low:
             problems.append(f"{name} must be >= {low}, got {value}")
+    for name in ("freeze_bandwidth", "particle_grads_use_new_theta"):
+        if not isinstance(getattr(config, name), (bool, np.bool_)):
+            problems.append(f"{name} must be a bool, got {getattr(config, name)!r}")
     if config.adaptive_denominator not in ("standard", "bnn"):
         problems.append(f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}")
-    if config.bandwidth is not None and not (np.isfinite(config.bandwidth) and config.bandwidth > 0):
-        problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth}")
+    if config.bandwidth is not None and not _is_positive_real(config.bandwidth):
+        problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth!r}")
+    hooks = config.metric_hooks
+    if not (isinstance(hooks, Mapping) and all(isinstance(k, str) and callable(f) for k, f in hooks.items())):
+        problems.append(f"metric_hooks must map names to callables, got {hooks!r}")
+    init = config.init
+    if init is not None and not (isinstance(init, (tuple, list)) and len(init) == 2):
+        problems.append(f"init must be a (theta0, particles0) pair, got {init!r}")
+        init = None
     if model is None:
         return problems
     if model.d_z < 1:
         problems.append(f"{type(model).__name__} has no latent coordinates (d_z = {model.d_z}); "
                         f"a particle cloud needs at least one")
     n = config.n_particles
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and int(n) * model.d_z > MAX_FLOAT64S:
+    if _is_number(n, numbers.Integral) and int(n) * model.d_z > MAX_FLOAT64S:
         problems.append(f"n_particles x d_z = {n} x {model.d_z} is more values than one array can hold")
     if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
-    if config.init is not None:
-        theta0, z0 = (np.asarray(a, dtype=np.float64) for a in config.init)
+    if init is not None:
+        theta0, z0 = (np.asarray(a, dtype=np.float64) for a in init)
         if theta0.size != model.d_theta:
             problems.append(f"init theta must have {model.d_theta} entries, got {theta0.size}")
         if z0.shape != (config.n_particles, model.d_z):
@@ -396,9 +420,7 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     options = {"denominator": config.adaptive_denominator} if theta_rule == "adaptive" else {}
     if theta_rule in ("kt", "adaptive"):
         options["particle_grads_use_new_theta"] = config.particle_grads_use_new_theta
-    # one scratch per run, for a model whose grad_z takes one; a model never holds it
-    if "scratch" in inspect.signature(model.grad_z).parameters:
-        options["scratch"] = Scratch()
+    options["scratch"] = Scratch()  # one per run; a model never holds it
 
     trace = Trace(initial_particles=z0.copy())
 

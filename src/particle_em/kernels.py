@@ -73,7 +73,7 @@ def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.n
     in slots 0 and 1 of ``scratch`` when a model has already grown both past
     8192 values; otherwise they are fresh, of at most 8192 values (two rows,
     if d is larger than 4096). This never grows ``scratch``, so a run whose
-    model takes no scratch holds none between steps.
+    model grows no slot holds none between steps.
 
     The kernel layer assumes finite particles (``run`` checks an explicit
     initialization). For finite input the diagonal of :func:`pairwise_sq_dists`

@@ -46,11 +46,11 @@ class Model(abc.ABC):
         """Parameter gradient of log_joint per particle, shape (N, d_theta)."""
 
     @abc.abstractmethod
-    def grad_z(self, theta, particles) -> np.ndarray:
+    def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
         """Latent gradient of log_joint per particle, shape (N, d_z).
 
-        An override may also take a ``scratch`` keyword (a :class:`particle_em.scratch.Scratch`);
-        ``run`` then passes it the run's scratch for its large temporaries.
+        ``run`` passes every call the run's :class:`particle_em.scratch.Scratch` (None elsewhere)
+        for the method's large temporaries; a model may ignore it.
         """
 
     def marginal_mstep(self, particles) -> np.ndarray:

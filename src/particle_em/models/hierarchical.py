@@ -36,7 +36,7 @@ class GaussianHierarchicalModel(Model):
         z = _checked(particles, d=self.d_z)[0]
         return np.add.reduce(z - t, 1, keepdims=True)  # .sum(axis=1, keepdims=True) without its dispatch
 
-    def grad_z(self, theta, particles) -> np.ndarray:
+    def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
         z = _checked(particles, d=self.d_z)[0]
         return (t - z) + (self.x[None, :] - z)

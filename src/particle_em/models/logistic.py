@@ -71,7 +71,7 @@ class BayesianLogisticRegression(Model):
         z = _checked(particles, d=self.d_z)[0]
         return (z - t).sum(axis=1, keepdims=True) / self.prior_var
 
-    def grad_z(self, theta, particles, scratch: Scratch | None = None) -> np.ndarray:
+    def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
         """``prior + (y - sigmoid(z @ X.T)) @ X``, with the (N, n) residuals built in ``scratch``.
 
         Slot 0 holds the logits u and then, in place, the residuals; slot 1 holds

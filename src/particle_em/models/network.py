@@ -132,7 +132,7 @@ class LatentSpaceNetworkModel(Model):
             out[k, 0] = self._pair_residuals(t, dist).sum()
         return out
 
-    def grad_z(self, theta, particles) -> np.ndarray:
+    def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
         t = as_flat(theta, 1, "theta")[0]
         z = _checked(particles, d=self.d_z)[0]
         out = np.empty_like(z)

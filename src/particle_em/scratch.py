@@ -3,8 +3,8 @@
 A :class:`Scratch` holds one flat vector per slot and grows a slot only when
 a caller asks for more than it holds, so the large temporaries of a step are
 allocated once per run instead of once per step. ``algorithms.run`` makes one
-per run and ``step`` passes it down to the kernel layer and to a model's
-``grad_z`` that takes a ``scratch`` keyword. A caller owns the slots it takes
+per run and ``step`` passes it down to the kernel layer and to every call of
+the model's ``grad_z``, which may ignore it. A caller owns the slots it takes
 only until it returns. A scratch is never stored on a model (models stay
 immutable and pure) and never shared between runs or threads.
 """

@@ -202,7 +202,7 @@ class ConstantGradientModel(Model):
     def grad_theta(self, theta, particles):
         return np.full((np.asarray(particles).shape[0], 1), self.c)
 
-    def grad_z(self, theta, particles):
+    def grad_z(self, theta, particles, scratch=None):
         return np.zeros_like(np.asarray(particles, dtype=np.float64))
 
     def default_init(self, n_particles, rng):

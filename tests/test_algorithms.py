@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import os
@@ -21,6 +22,7 @@ from particle_em.algorithms import (
     pgd_step,
     run,
     svgd_em_step,
+    validate_run,
     _adaptive_update,
     _kt,
 )
@@ -28,7 +30,8 @@ from particle_em.data import generate_toy_data
 from particle_em.exceptions import ConfigError, DivergedError, MissingMStepError
 from particle_em.kernels import median_heuristic, stein_direction
 from particle_em.models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
-from helpers import ConstantGradientModel, ZeroGradientModel
+from particle_em.scratch import Scratch
+from helpers import ConstantGradientModel, ZeroGradientModel, assert_bitwise_equal, planted_two_community_network
 
 
 def toy_model(d_z=4, seed=123, theta_true=1.0):
@@ -49,8 +52,8 @@ class NaNGradientModel(GaussianHierarchicalModel):
             g[:, 0] = np.nan
         return g
 
-    def grad_z(self, theta, particles):
-        g = super().grad_z(theta, particles)
+    def grad_z(self, theta, particles, scratch=None):
+        g = super().grad_z(theta, particles, scratch=scratch)
         if self.nan_in == "particle":
             g[:, 0] = np.nan
         return g
@@ -570,12 +573,40 @@ class TestRunLoop:
         ("record_every", 1.5, "record_every must be an integer, got 1.5"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("bandwidth", "1", "bandwidth must be a finite positive number, got '1'"),
+        ("bandwidth", True, "bandwidth must be a finite positive number, got True"),
+        pytest.param("bandwidth", 10 ** 400, f"bandwidth must be a finite positive number, got {10 ** 400}",
+                     id="bandwidth-int-past-float64"),
+        ("freeze_bandwidth", "no", "freeze_bandwidth must be a bool, got 'no'"),
+        ("particle_grads_use_new_theta", "False", "particle_grads_use_new_theta must be a bool, got 'False'"),
+        ("init", (np.zeros(1),), "init must be a (theta0, particles0) pair, got (array([0.]),)"),
+        ("metric_hooks", None, "metric_hooks must map names to callables, got None"),
+        ("metric_hooks", {"m": 1.0}, "metric_hooks must map names to callables, got {'m': 1.0}"),
     ])
     def test_bad_count_or_seed_is_a_config_error(self, name, value, message):
         config = RunConfig(**{"n_particles": 3, "n_iters": 2, "seed": 1, name: value})
         with pytest.raises(ConfigError) as excinfo:
             run("adaptive_coin_em", toy_model(), config)
         assert excinfo.value.violations == [message]
+
+    @pytest.mark.parametrize("value,shown", [("0.1", "'0.1'"), (True, "True"), (np.nan, "nan"), (-1, "-1")])
+    def test_bad_gamma_is_a_config_error(self, value, shown):
+        with pytest.raises(ConfigError) as excinfo:
+            run("svgd_em", toy_model(), RunConfig(n_particles=3, n_iters=2, gamma=value))
+        assert excinfo.value.violations == [f"gamma must be a finite positive number, got {shown}"]
+
+    def test_integer_gamma_past_int64_accepted(self):
+        assert validate_run("svgd_em", RunConfig(gamma=2 ** 70)) == []
+
+    @pytest.mark.parametrize("algorithm", ["svgd_em", "coin_em"])
+    def test_numpy_scalar_options_accepted(self, algorithm):
+        m, gamma = toy_model(), (0.25 if algorithm == "svgd_em" else None)
+        plain = RunConfig(n_particles=3, n_iters=4, seed=5, gamma=gamma, bandwidth=2.0, freeze_bandwidth=True,
+                          particle_grads_use_new_theta=False)
+        numpy = RunConfig(n_particles=3, n_iters=4, seed=5, gamma=None if gamma is None else np.float32(gamma),
+                          bandwidth=np.int64(2), freeze_bandwidth=np.bool_(True),
+                          particle_grads_use_new_theta=np.bool_(False))
+        assert_bitwise_equal(run(algorithm, m, numpy).final_particles, run(algorithm, m, plain).final_particles)
 
     def test_numpy_integer_counts_and_seed_accepted(self):
         m = toy_model()
@@ -584,6 +615,44 @@ class TestRunLoop:
                                                           record_every=np.int64(2), seed=np.uint64(5)))
         assert list(numpy_ints.iterations()) == [0, 2, 4]
         np.testing.assert_array_equal(numpy_ints.final_particles, plain.final_particles)
+
+
+def spy_on_grad_z(model, plain=False):
+    """Wrap the instance's ``grad_z`` the way the benchmark's tracer does (``functools.wraps``), or with a
+    plain ``(*args, **kwargs)`` wrapper; return the list of the scratches its calls receive."""
+    inner, received = model.grad_z, []
+
+    def spy(*args, **kwargs):
+        received.append(kwargs.get("scratch"))
+        return inner(*args, **kwargs)
+
+    model.grad_z = spy if plain else functools.wraps(inner)(spy)
+    return received
+
+
+SPIED_MODELS = {
+    "toy": lambda: toy_model(d_z=3),
+    "network": lambda: LatentSpaceNetworkModel(planted_two_community_network(8, n=7)[0], embed_dim=2),
+    "logreg": lambda: BayesianLogisticRegression(np.random.default_rng(4).standard_normal((20, 3)),
+                                                 np.arange(20) % 2),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["adaptive_coin_em", "pgd"])
+@pytest.mark.parametrize("name,plain", [("toy", False), ("network", False), ("logreg", False), ("logreg", True)],
+                         ids=["toy", "network", "logreg", "logreg-plain-wrapper"])
+def test_every_grad_z_call_of_a_run_gets_the_runs_one_scratch(name, plain, algorithm):
+    model = SPIED_MODELS[name]()
+    received = spy_on_grad_z(model, plain)
+    config = RunConfig(n_particles=3, n_iters=4, seed=0, gamma=0.01 if algorithm == "pgd" else None)
+    scratches = []
+    for _ in range(2):
+        received.clear()
+        run(algorithm, model, config)
+        assert len(received) == 4 and isinstance(received[0], Scratch)
+        assert all(scratch is received[0] for scratch in received)
+        scratches.append(received[0])
+    assert scratches[0] is not scratches[1]
 
 
 def test_svgd_theta_gradient_decays_on_toy():
