@@ -283,7 +283,7 @@ class RunOptions:
     finite positive real number) fixes the kernel bandwidth; ``freeze_bandwidth``
     (a bool) computes it once from the initial cloud instead of at every
     iteration. ``record_every`` is a positive integer. ``adaptive_denominator``
-    (``"standard"`` or ``"bnn"``) is read only by ``adaptive_coin_em``, and
+    (the str ``"standard"`` or ``"bnn"``) is read only by ``adaptive_coin_em``, and
     ``particle_grads_use_new_theta`` (a bool) only by ``coin_em`` and
     ``adaptive_coin_em``; the other algorithms ignore both. Real numbers,
     integers and bools may be numpy scalars; a bool is never a number.
@@ -303,10 +303,11 @@ class RunConfig(RunOptions):
 
     ``n_particles``, ``n_iters``, ``record_every`` and ``seed`` are integers
     (numpy integers too, never bool), ``seed`` non-negative. ``init``
-    optionally overrides the model's default with a (theta0, particles0) pair:
-    d_theta entries and an (n_particles, d_z) cloud, all finite.
-    ``metric_hooks`` maps metric names (str) to callables
-    ``f(theta, particles) -> float`` evaluated at every recorded iteration.
+    optionally overrides the model's default with a (theta0, particles0) pair
+    of arrays of real numbers: d_theta entries and an (n_particles, d_z) cloud,
+    all finite. ``metric_hooks`` maps metric names (str) to callables
+    ``f(theta, particles) -> float`` evaluated at every recorded iteration;
+    a value ``float()`` refuses is a :class:`ConfigError`.
     """
 
     n_particles: int = 10
@@ -327,6 +328,23 @@ def _is_positive_real(value) -> bool:
         return _is_number(value) and 0 < float(value) < math.inf
     except OverflowError:  # a Python int past the largest float64
         return False
+
+
+def _read_init(init) -> tuple[np.ndarray, np.ndarray]:
+    """The (theta0, particles0) pair as fresh float64 arrays, theta0 flat; raises ValueError on anything
+    but a pair, and on an entry that is not an array of real numbers (ragged, string, complex, bool, object)."""
+    if not (isinstance(init, (tuple, list)) and len(init) == 2):
+        raise ValueError(f"init must be a (theta0, particles0) pair, got {init!r}")
+    arrays = []
+    for name, value in zip(("theta", "particles"), init):
+        try:
+            arr = np.asarray(value)
+        except ValueError as err:  # numpy refuses a ragged nesting
+            raise ValueError(f"init {name} must be an array of real numbers: {err}") from None
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"init {name} must be an array of real numbers, got dtype {arr.dtype}")
+        arrays.append(np.array(arr, dtype=np.float64, order="C"))
+    return arrays[0].ravel(), arrays[1]
 
 
 def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) -> list[str]:
@@ -355,7 +373,7 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     for name in ("freeze_bandwidth", "particle_grads_use_new_theta"):
         if not isinstance(getattr(config, name), (bool, np.bool_)):
             problems.append(f"{name} must be a bool, got {getattr(config, name)!r}")
-    if config.adaptive_denominator not in ("standard", "bnn"):
+    if not (isinstance(config.adaptive_denominator, str) and config.adaptive_denominator in ("standard", "bnn")):
         problems.append(f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}")
     if config.bandwidth is not None and not _is_positive_real(config.bandwidth):
         problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth!r}")
@@ -363,9 +381,12 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     if not (isinstance(hooks, Mapping) and all(isinstance(k, str) and callable(f) for k, f in hooks.items())):
         problems.append(f"metric_hooks must map names to callables, got {hooks!r}")
     init = config.init
-    if init is not None and not (isinstance(init, (tuple, list)) and len(init) == 2):
-        problems.append(f"init must be a (theta0, particles0) pair, got {init!r}")
-        init = None
+    if init is not None:
+        try:
+            init = _read_init(init)
+        except ValueError as err:
+            problems.append(str(err))
+            init = None
     if model is None:
         return problems
     if model.d_z < 1:
@@ -377,16 +398,24 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
     if init is not None:
-        theta0, z0 = (np.asarray(a, dtype=np.float64) for a in init)
+        theta0, z0 = init
         if theta0.size != model.d_theta:
             problems.append(f"init theta must have {model.d_theta} entries, got {theta0.size}")
-        if z0.shape != (config.n_particles, model.d_z):
+        if _is_number(n, numbers.Integral) and z0.shape != (n, model.d_z):  # a bad n_particles is reported
             problems.append(f"init particles must have shape (n_particles, d_z) = "
                             f"({config.n_particles}, {model.d_z}), got {z0.shape}")
         for name, arr in (("theta", theta0), ("particles", z0)):
             if not np.all(np.isfinite(arr)):
                 problems.append(f"init {name} must be finite, got {int(np.sum(~np.isfinite(arr)))} non-finite value(s)")
     return problems
+
+
+def _metric_value(name: str, value) -> float:
+    """A metric hook's value as a float; a value that float() refuses is a ConfigError naming the hook."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError([f"metric hook {name!r} must return a real number: {err}"]) from None
 
 
 def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
@@ -402,11 +431,7 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
         raise ConfigError(problems)
     theta_rule, particle_rule = ALGORITHMS[algorithm]
     rng = np.random.default_rng(config.seed)
-    if config.init is not None:
-        theta0 = np.asarray(config.init[0], dtype=np.float64).ravel().copy()
-        z0 = np.asarray(config.init[1], dtype=np.float64).copy()
-    else:
-        theta0, z0 = model.default_init(config.n_particles, rng)
+    theta0, z0 = model.default_init(config.n_particles, rng) if config.init is None else _read_init(config.init)
 
     h = median_heuristic(z0) if config.freeze_bandwidth and config.bandwidth is None else config.bandwidth
 
@@ -427,7 +452,7 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     def record(iteration: int, theta: np.ndarray, particles: np.ndarray) -> None:
         # hooks may overflow to inf on states that are en route to divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            metrics = {name: float(hook(theta, particles)) for name, hook in config.metric_hooks.items()}
+            metrics = {name: _metric_value(name, hook(theta, particles)) for name, hook in config.metric_hooks.items()}
         trace.records.append(TraceRecord(iteration, theta.copy(), particle_mean(particles), metrics))
 
     record(0, state.theta, state.particles)

@@ -347,12 +347,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--model", help="toy | logreg | network")
     parser.add_argument("--algorithm", help="optimizer name")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--gamma", type=float, help="learning rate (gamma algorithms only)")
-    parser.add_argument("--particles", type=int, help="number of particles")
-    parser.add_argument("--iters", type=int, help="number of iterations")
-    parser.add_argument("--record-every", type=int, dest="record_every")
-    parser.add_argument("--run-index", type=int, dest="run_index", help="seed stream index")
+    parser.add_argument("--seed", help="master seed")
+    parser.add_argument("--gamma", help="learning rate (gamma algorithms only)")
+    parser.add_argument("--particles", help="number of particles")
+    parser.add_argument("--iters", help="number of iterations")
+    parser.add_argument("--record-every", dest="record_every")
+    parser.add_argument("--run-index", dest="run_index", help="seed stream index")
     parser.add_argument("--name", help="basename for output files")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--data-path", dest="data_path", help="CSV dataset path (logreg)")

@@ -110,9 +110,9 @@ def read_config_file(path: str) -> dict[str, str]:
 def parse_config(path: str | None = None, overrides: Mapping[str, object] | None = None) -> ExperimentConfig:
     """Build and validate a config from an optional file plus overrides.
 
-    ``overrides`` values may be already-typed Python values or raw strings;
-    they win over file entries. Raises :class:`ConfigError` listing every
-    violation found.
+    ``overrides`` win over file entries. Every value is read from its text by
+    its key's parser, as a file line is: ``5`` and ``"5"`` are one override, and a
+    list is given as ``"a,b"``. Raises :class:`ConfigError` listing every violation.
     """
     violations: list[str] = []
     raw: dict[str, object] = {}
@@ -128,7 +128,7 @@ def parse_config(path: str | None = None, overrides: Mapping[str, object] | None
             violations.append(f"unknown config key {key!r}")
             continue
         try:
-            values[key] = parse(value.strip()) if isinstance(value, str) else value
+            values[key] = parse(str(value).strip())
         except ValueError as err:
             violations.append(f"bad value for {key!r}: {err}")
 
@@ -153,15 +153,14 @@ def validate(config: ExperimentConfig) -> list[str]:
     # a sweep runs each grid value in place of the swept field, and the sweep checks below cover
     # every value, so a fixed valid value stands in for the field here
     stand_in = {"gamma": {"gamma": 1.0}, "particles": {"n_particles": 1}}.get(config.sweep_param, {})
-    problems.extend(validate_run(config.algorithm, config.run_config(**stand_in)))
+    problems.extend(validate_run(config.algorithm, config.run_config(seed=config.seed, **stand_in)))
     if config.name in (".", "..") or any(sep and sep in config.name for sep in (os.sep, os.altsep)):
         problems.append(f"name must be a file basename, without a path, got {config.name!r}")
     for key in _PATH_KEYS:
         if "\0" in (getattr(config, key) or ""):
             problems.append(f"{key} must not contain a NUL byte, got {getattr(config, key)!r}")
-    for key in ("seed", "run_index"):  # the master seed and the run's stream; run_config carries neither
-        if getattr(config, key) < 0:
-            problems.append(f"{key} must be >= 0, got {getattr(config, key)}")
+    if config.run_index < 0:  # the run's seed stream; run_config does not carry it
+        problems.append(f"run_index must be >= 0, got {config.run_index}")
     if config.link_sign not in LINK_SIGNS:
         problems.append(f"link_sign must be {' or '.join(map(repr, LINK_SIGNS))}, got {config.link_sign!r}")
     if config.sweep_param is not None:

@@ -1,11 +1,13 @@
+import dataclasses
 import functools
 import importlib.util
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +17,7 @@ from particle_em.algorithms import (
     RunConfig,
     Scale,
     State,
+    Trace,
     adaptive_coin_em_step,
     coin_em_step,
     marginal_coin_em_step,
@@ -615,6 +618,132 @@ class TestRunLoop:
                                                           record_every=np.int64(2), seed=np.uint64(5)))
         assert list(numpy_ints.iterations()) == [0, 2, 4]
         np.testing.assert_array_equal(numpy_ints.final_particles, plain.final_particles)
+
+    @pytest.mark.parametrize("theta0,particles,message", [
+        (np.zeros(1), [["a", 0.0], [0.0, 0.0], [0.0, 0.0]], "init particles must be an array of real numbers, "
+                                                            "got dtype <U32"),
+        ("x", np.zeros((3, 2)), "init theta must be an array of real numbers, got dtype <U1"),
+        (np.zeros(1), [[0.0], [0.0, 0.0], [0.0, 0.0]], "init particles must be an array of real numbers: "
+                                                       "setting an array element with a sequence"),
+        (np.zeros(1), np.zeros((3, 2)) + 1j, "init particles must be an array of real numbers, got dtype complex128"),
+        (np.zeros(1, dtype=bool), np.zeros((3, 2)), "init theta must be an array of real numbers, got dtype bool"),
+        (np.zeros(1), np.zeros((3, 2), dtype=object), "init particles must be an array of real numbers, "
+                                                      "got dtype object"),
+    ], ids=["string", "string-theta", "ragged", "complex", "bool", "object"])
+    def test_init_of_anything_but_real_numbers_is_a_config_error(self, theta0, particles, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex cloud once ran, with only a ComplexWarning
+            with pytest.raises(ConfigError) as excinfo:
+                run("adaptive_coin_em", toy_model(d_z=2), RunConfig(n_particles=3, n_iters=1, init=(theta0, particles)))
+        [violation] = excinfo.value.violations
+        assert violation.startswith(message)
+
+    def test_bad_particle_count_beside_an_init_is_one_problem(self):
+        config = RunConfig(n_particles=np.array([1.0, 2.0]), n_iters=1, init=(np.zeros(1), np.zeros((3, 4))))
+        with pytest.raises(ConfigError) as excinfo:
+            run("adaptive_coin_em", toy_model(), config)
+        assert excinfo.value.violations == ["n_particles must be an integer, got array([1., 2.])"]
+
+    def test_init_is_read_into_fresh_float64_arrays(self):
+        m = toy_model(d_z=2)
+        theta0, z0 = np.array([[5]]), np.asfortranarray(np.arange(6).reshape(3, 2))
+        trace = run("adaptive_coin_em", m, RunConfig(n_particles=3, n_iters=2, seed=7, init=(theta0, z0)))
+        floats = run("adaptive_coin_em", m, RunConfig(n_particles=3, n_iters=2, seed=7,
+                                                      init=(np.array([5.0]), np.arange(6.0).reshape(3, 2))))
+        assert_bitwise_equal(trace.final_particles, floats.final_particles)
+        assert trace.initial_particles.dtype == np.float64 and trace.initial_particles.flags.c_contiguous
+        assert theta0.dtype.kind == "i" and z0.dtype.kind == "i"  # the caller's arrays are untouched
+
+    def test_denominator_array_is_a_config_error(self):
+        config = RunConfig(n_particles=3, n_iters=1, adaptive_denominator=np.array(["bnn", "x"]))
+        with pytest.raises(ConfigError) as excinfo:
+            run("adaptive_coin_em", toy_model(), config)
+        assert excinfo.value.violations == [
+            "adaptive_denominator must be 'standard' or 'bnn', got array(['bnn', 'x'], dtype='<U3')"]
+
+    @pytest.mark.parametrize("value,reason", [
+        ("x", "could not convert string to float: 'x'"),
+        (np.zeros(2), "only 0-dimensional arrays can be converted to Python scalars"),
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+    ], ids=["string", "array", "none"])
+    def test_hook_value_float_refuses_is_a_config_error(self, value, reason):
+        hooks = {"theta": lambda th, Z: float(th[0]), "bad": lambda th, Z: value}
+        with pytest.raises(ConfigError) as excinfo:
+            run("adaptive_coin_em", toy_model(), RunConfig(n_particles=3, n_iters=1, metric_hooks=hooks))
+        assert excinfo.value.violations == [f"metric hook 'bad' must return a real number: {reason}"]
+
+
+#: values of the wrong kind for some RunConfig field, or of the right kind at an extreme
+ODD_VALUES = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.floats(), st.complex_numbers(max_magnitude=10),
+    st.sampled_from([np.float64(0.5), np.float32(2.0), np.int64(2), np.uint8(1), np.bool_(True), np.str_("bnn"),
+                     np.array(1.0), np.array(2), np.array([1.0, 2.0]), np.array(["bnn", "x"]), [[0.0], [0.0, 1.0]],
+                     (), 10 ** 30, -(10 ** 30), 2 ** 63, 10 ** 400]),
+)
+
+
+def _is_big_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 4
+
+
+def _valid_fields(algorithm: str, rows: int) -> dict:
+    """A strategy of valid values for each RunConfig field but ``n_particles``; ``rows`` sizes the init cloud."""
+    hooks = st.one_of(st.floats(), st.sampled_from([np.float64(1.5), np.array(2.0), "3.5", 10 ** 30])).map(
+        lambda v: {"theta": lambda th, Z: float(th[0]), "m": lambda th, Z: v})
+    return {
+        "gamma": st.sampled_from([0.1, np.float64(0.01), 1e300, 2 ** 70]) if "gd" in ALGORITHMS[algorithm]
+        else st.none(),
+        "record_every": st.sampled_from([1, 2, np.int64(3), 10 ** 30]),
+        "bandwidth": st.sampled_from([None, 1.0, np.float32(0.5), 5e-324]),
+        "freeze_bandwidth": st.sampled_from([False, True, np.bool_(True)]),
+        "adaptive_denominator": st.sampled_from(["standard", "bnn", np.str_("bnn")]),
+        "particle_grads_use_new_theta": st.sampled_from([True, False, np.bool_(False)]),
+        "n_iters": st.integers(0, 3),
+        "seed": st.one_of(st.integers(0, 2 ** 70), st.just(np.uint64(5))),
+        "init": st.one_of(st.none(), st.tuples(st.sampled_from([np.zeros(1), np.array(0.5), [2]]),
+                                               st.sampled_from([np.zeros((rows, 2)), np.ones((rows, 2), dtype=int),
+                                                                np.asfortranarray(np.arange(2.0 * rows).reshape(rows, 2))]))),
+        "metric_hooks": st.one_of(st.just({}), hooks),
+    }
+
+
+def _odd_fields(rows: int) -> dict:
+    """A strategy of odd values for each RunConfig field but ``n_particles``: ODD_VALUES, plus odd init pairs
+    and odd hook values. Only the iteration count never draws a huge integer, which would run for ever."""
+    cloud = np.zeros((rows, 2))
+    odd_init = st.tuples(st.one_of(st.just(np.zeros(1)), ODD_VALUES),
+                         st.one_of(st.sampled_from([cloud + 1j, cloud.astype(bool), cloud.astype(object),
+                                                    [["a", 0.0]] * rows, [[0.0]] + [[0.0, 0.0]] * (rows - 1),
+                                                    cloud[:, :1], np.full((rows, 2), np.inf)]), ODD_VALUES))
+    odd = {name: ODD_VALUES for name in ("gamma", "record_every", "bandwidth", "freeze_bandwidth",
+                                         "adaptive_denominator", "particle_grads_use_new_theta", "seed")}
+    return {**odd, "n_iters": ODD_VALUES.filter(lambda v: not _is_big_int(v)),
+            "init": st.one_of(ODD_VALUES, odd_init),
+            "metric_hooks": st.one_of(ODD_VALUES, ODD_VALUES.map(lambda v: {"m": lambda th, Z: v}))}
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_run_returns_a_trace_or_raises_a_run_error_on_any_field_values(data):
+    """Each RunConfig field valid or odd, a few odd at a time: a run ends in a Trace, a ConfigError or a
+    DivergedError, never in another exception."""
+    algorithm = data.draw(st.sampled_from(sorted(ALGORITHMS)), label="algorithm")
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    odd_names = data.draw(st.sets(st.sampled_from(names), max_size=3), label="odd fields")
+    n_particles = data.draw(ODD_VALUES if "n_particles" in odd_names else st.integers(1, 4), label="n_particles")
+    rows = n_particles if type(n_particles) is int and 1 <= n_particles <= 4 else 3
+    valid, odd = _valid_fields(algorithm, rows), _odd_fields(rows)
+    assert set(valid) == set(odd) == set(names) - {"n_particles"}
+    config = RunConfig(n_particles=n_particles, **{
+        name: data.draw(odd[name] if name in odd_names else valid[name], label=name) for name in valid})
+    try:
+        trace = run(algorithm, toy_model(d_z=2), config)
+    except ConfigError as err:
+        assert err.violations and all(isinstance(v, str) for v in err.violations)
+    except DivergedError:
+        pass
+    else:
+        assert isinstance(trace, Trace) and trace.records[0].iteration == 0
 
 
 def spy_on_grad_z(model, plain=False):

@@ -196,14 +196,40 @@ def test_bad_key_text_rejected(tmp_path, key, text, message):
     assert message in str(err.value)
 
 
+#: typed library overrides: each is read from its text, as the same value on a config-file line is
+TYPED_OVERRIDES = [
+    ("seed", 1.5, "bad value for 'seed': invalid literal for int() with base 10: '1.5'"),
+    ("seed", True, "bad value for 'seed': invalid literal for int() with base 10: 'True'"),
+    ("run_index", 1.5, "bad value for 'run_index': invalid literal for int() with base 10: '1.5'"),
+    ("toy_dim", 2.5, "bad value for 'toy_dim': invalid literal for int() with base 10: '2.5'"),
+    ("sweep_values", [0.1, 0.2], "bad value for 'sweep_values': could not convert string to float: '[0.1'"),
+    ("name", 5, None),
+    ("sweep_values", 5, None),
+    ("gamma", np.float64(0.25), None),
+]
+
+
+@pytest.mark.parametrize("key,value,message", TYPED_OVERRIDES,
+                         ids=[f"{key}={value!r}" for key, value, _ in TYPED_OVERRIDES])
+def test_typed_override_is_read_from_its_text(key, value, message):
+    base = {"model": "toy", "algorithm": "pgd", "gamma": "0.1"}
+    if message is not None:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(None, {**base, key: value})
+        assert excinfo.value.violations == [message]
+    else:
+        assert parse_config(None, {**base, key: value}) == parse_config(None, {**base, key: str(value)})
+
+
 @pytest.mark.parametrize("changes,message", [
     ({"run_index": -1}, "run_index must be >= 0, got -1"),
     ({"seed": -5}, "seed must be >= 0, got -5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),  # the master seed is validate_run's to check
     ({"sweep_param": "iters", "sweep_values": [1.0]},
      "sweep_param must be one of ('gamma', 'particles'), got 'iters'"),
     ({"sweep_param": "particles", "sweep_values": [2.0, 2.5]}, "sweep over particles requires integer values"),
     ({"model": "logreg"}, "logreg model requires data_path"),
-], ids=["run_index", "seed", "sweep_param", "particles_sweep", "data_path"])
+], ids=["run_index", "seed", "seed_type", "sweep_param", "particles_sweep", "data_path"])
 def test_validate_names_each_violation(changes, message):
     assert validate(ExperimentConfig(**{"model": "toy", "algorithm": "adaptive_coin_em", **changes})) == [message]
 
@@ -271,6 +297,16 @@ class TestRunCommand:
         assert diverged["final_theta"] == stopped["final_theta"]
         recorded = [float(r["value"]) for r in read_rows(tmp_path / "diverged.csv") if r["metric"] == "theta"]
         assert recorded[-1] != diverged["final_theta"][0]
+
+    @pytest.mark.parametrize("flag,text,key", [("--seed", "x", "seed"), ("--particles", "2.5", "particles"),
+                                               ("--gamma", "fast", "gamma")])
+    def test_bad_number_flag_is_a_config_error(self, tmp_path, capsys, flag, text, key):
+        out = tmp_path / "runs"
+        code = main(["run", "--model", "toy", "--algorithm", "pgd", "--gamma", "0.1", "--iters", "3",
+                     flag, text, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad value for '{key}': ")
+        assert not out.exists()
 
     def test_path_in_name_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "DIR"

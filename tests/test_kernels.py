@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -427,7 +428,53 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.n_i
 """
 
 
-def _faults_per_warm_step(script: str) -> float:
+#: put before a fault script's measured run for a diagnostic rerun: it counts the minor faults after each
+#: step of that run and prints glibc's heap statistics (``mallinfo2``) before and after it
+FAULT_DIAGNOSIS = """
+import ctypes
+from particle_em import algorithms
+
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                                                     "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def heap():
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        return "no mallinfo2 in this C library"
+    mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+    info = mallinfo2()
+    return {name: getattr(info, name) for name, _ in Mallinfo2._fields_}
+
+
+step, step_faults = algorithms.step, []
+
+
+def counted_step(*args, **kwargs):
+    state = step(*args, **kwargs)
+    step_faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return state
+
+
+algorithms.step = counted_step  # looked up at each call, so every step of the measured run counts
+print("heap before the measured run:", heap())
+"""
+FAULT_DIAGNOSIS_END = """
+print("heap after the measured run:", heap())
+print("minor faults of each step, the first with the run's set-up:", np.diff([before] + step_faults).tolist())
+print("minor faults after the last step:", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - step_faults[-1])
+"""
+
+
+def _diagnostic(script: str) -> str:
+    """The fault script with its measured run instrumented by FAULT_DIAGNOSIS."""
+    head, measured, tail = script.partition("before = ")
+    return head + FAULT_DIAGNOSIS + measured + tail + FAULT_DIAGNOSIS_END
+
+
+def _run_fault_script(script: str) -> str:
     """Run a fault script in one fresh subprocess, so this process's heap cannot hide a fault, from the
     file system root and with only PATH and PYTHONPATH set, so that the heap layout does not depend on
     where the tests run or on the caller's environment (BLAS is not pinned); return what it prints."""
@@ -437,7 +484,17 @@ def _faults_per_warm_step(script: str) -> float:
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=os.path.abspath(os.sep),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return float(proc.stdout.split()[-1])
+    return proc.stdout
+
+
+def _check_faults_per_warm_step(script: str) -> None:
+    """Assert the fault script reads under one minor fault per warm step. A reading of 1.0 or more reruns
+    the script once in diagnostic mode, after the measured subprocess has exited, and puts its per-step
+    faults and heap statistics in the assertion message."""
+    faults_per_step = float(_run_fault_script(script).split()[-1])
+    print(f"{faults_per_step} minor page faults per warm step")
+    assert faults_per_step < 1.0, (f"{faults_per_step} minor page faults per warm step; a diagnostic rerun "
+                                   f"printed:\n{_run_fault_script(_diagnostic(script))}")
 
 
 def test_logreg_steps_reuse_their_pages():
@@ -450,8 +507,7 @@ def test_logreg_steps_reuse_their_pages():
     threshold. What is left is the scratch's first touch in the measured run, spread over its
     200 steps.
     """
-    faults_per_step = _faults_per_warm_step(FAULT_GUARD)
-    assert faults_per_step < 1.0, f"{faults_per_step} minor page faults per warm step"
+    _check_faults_per_warm_step(FAULT_GUARD)
 
 
 #: the same fit under pgd, which builds no pair distances
@@ -463,5 +519,15 @@ def test_logreg_pgd_steps_reuse_their_pages():
     """The pgd fit takes under one minor page fault per warm step too: its logistic residuals
     live in the run's scratch, so their speed does not rest on a pair buffer that pgd never builds."""
     assert PGD_FAULT_GUARD.count('"pgd"') == 2 and "gamma=0.01" in PGD_FAULT_GUARD
-    faults_per_step = _faults_per_warm_step(PGD_FAULT_GUARD)
-    assert faults_per_step < 1.0, f"{faults_per_step} minor page faults per warm step"
+    _check_faults_per_warm_step(PGD_FAULT_GUARD)
+
+
+def test_fault_diagnosis_reports_each_step_and_the_heap():
+    """The diagnostic rerun a failing fault guard prints: the guard's own reading, the heap statistics
+    around the measured run, one fault count for each of its 200 steps and the count after the last step."""
+    before, reading, after, faults, rest = _run_fault_script(_diagnostic(PGD_FAULT_GUARD)).splitlines()
+    assert before.startswith("heap before the measured run: ") and after.startswith("heap after the measured run: ")
+    assert "'keepcost'" in after or "no mallinfo2" in after
+    assert float(reading) >= 0.0
+    assert len(json.loads(faults.removeprefix("minor faults of each step, the first with the run's set-up: "))) == 200
+    assert int(rest.removeprefix("minor faults after the last step: ")) >= 0
