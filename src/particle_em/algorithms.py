@@ -18,6 +18,11 @@ direction; ``ALGORITHMS`` maps every name to its pair. The rules:
 step of each algorithm. Steps are pure state transitions: they never mutate
 their input state, and (for ``pgd``) the random generator is part of the
 input. Any non-finite value in an updated state aborts with :class:`DivergedError`.
+
+:func:`run` checks its inputs with :func:`validate_run`, repeats one step and
+records every ``record_every``-th iteration into a columnar :class:`Trace`:
+it allocates every column once, at the run's row count, and writes each
+record into its row, so a record creates no object.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from . import kernels
 from .data import MAX_FLOAT64S
 from .exceptions import ConfigError, DivergedError
 from .kernels import median_heuristic, stein_direction
-from .models.base import Model, particle_mean
+from .models.base import Model
 from .scratch import Scratch
 
 
@@ -243,35 +248,81 @@ def pgd_step(state: State, model: Model, rng: np.random.Generator, scratch: Scra
 
 @dataclass
 class TraceRecord:
+    """One recorded iteration; from a :class:`Trace`, its arrays are read-only views of the trace's rows."""
+
     iteration: int
     theta: np.ndarray
     particle_mean: np.ndarray
     metrics: dict[str, float]
 
 
-@dataclass
 class Trace:
-    """Time-indexed record of a run; iterations are strictly increasing."""
+    """Time-indexed record of a run, held as columns; iterations are strictly increasing.
 
-    records: list[TraceRecord] = field(default_factory=list)
-    initial_particles: np.ndarray | None = None
-    # the state of the last completed step: on divergence, of the step before the one that diverged
-    final_theta: np.ndarray | None = None
-    final_particles: np.ndarray | None = None
+    Row k holds the k-th recorded iteration: ``iterations`` (R,) as int,
+    ``theta`` (R, d_theta) and ``particle_mean`` (R, d_z) as float64, and one
+    float64 (R,) column per name of ``metrics``; built from given columns, a
+    trace copies none that already has its dtype. :func:`run` allocates every
+    column once, at its final length, and writes each record into its row.
+    Every accessor shows the rows written so far, as read-only views, so the
+    partial trace of a diverged run holds exactly the records made before the
+    failing step. ``initial_particles`` is the cloud of iteration 0, and
+    ``final_theta`` and ``final_particles`` are the state of the last completed
+    step: on divergence, of the step before the one that diverged.
+    """
+
+    def __init__(self, iterations, theta, particle_mean, metrics: Mapping | None = None,
+                 initial_particles: np.ndarray | None = None):
+        self._iterations = np.asarray(iterations, dtype=int)
+        self._theta = np.asarray(theta, dtype=np.float64)
+        self._particle_mean = np.asarray(particle_mean, dtype=np.float64)
+        self._metrics = {name: np.asarray(values, dtype=np.float64) for name, values in (metrics or {}).items()}
+        self._count = len(self._iterations)
+        self.initial_particles = initial_particles
+        self.final_theta: np.ndarray | None = None
+        self.final_particles: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, rows: int, theta_shape: tuple, d_z: int, metric_names, initial_particles=None) -> "Trace":
+        """An empty trace with room for ``rows`` rows, each column allocated once."""
+        trace = cls(np.empty(rows, dtype=int), np.empty((rows, *theta_shape)), np.empty((rows, d_z)),
+                    {name: np.empty(rows) for name in metric_names}, initial_particles)
+        trace._count = 0
+        return trace
+
+    @property
+    def metric_names(self) -> tuple[str, ...]:
+        return tuple(self._metrics)
+
+    def _rows(self, column: np.ndarray) -> np.ndarray:
+        """The rows written so far of one column, as a read-only view."""
+        view = column[:self._count]
+        view.flags.writeable = False
+        return view
 
     def iterations(self) -> np.ndarray:
-        return np.array([r.iteration for r in self.records], dtype=int)
+        return self._rows(self._iterations)
 
     def metric_values(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(iterations, values) for one metric across all records."""
-        pairs = [(r.iteration, r.metrics[name]) for r in self.records if name in r.metrics]
-        if not pairs:
+        if name not in self._metrics:
             raise KeyError(f"metric {name!r} was never recorded")
-        its, vals = zip(*pairs)
-        return np.array(its, dtype=int), np.array(vals, dtype=np.float64)
+        return self.iterations(), self._rows(self._metrics[name])
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """One :class:`TraceRecord` per row written, built on each access."""
+        theta, mean = self._rows(self._theta), self._rows(self._particle_mean)
+        values = {name: self._rows(column).tolist() for name, column in self._metrics.items()}
+        return [TraceRecord(iteration, theta[k], mean[k], {name: column[k] for name, column in values.items()})
+                for k, iteration in enumerate(self.iterations().tolist())]
 
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        """The last record written."""
+        k = self._count - 1
+        return TraceRecord(int(self.iterations()[k]), self._rows(self._theta)[k],
+                           self._rows(self._particle_mean)[k],
+                           {name: float(column[k]) for name, column in self._metrics.items()})
 
 
 @dataclass(kw_only=True)
@@ -395,6 +446,12 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     n = config.n_particles
     if _is_number(n, numbers.Integral) and int(n) * model.d_z > MAX_FLOAT64S:
         problems.append(f"n_particles x d_z = {n} x {model.d_z} is more values than one array can hold")
+    n_iters, every = config.n_iters, config.record_every
+    if _is_number(n_iters, numbers.Integral) and _is_number(every, numbers.Integral) and n_iters >= 0 and every >= 1:
+        rows = _trace_rows(n_iters, every)
+        if rows * model.d_z > MAX_FLOAT64S:
+            problems.append(f"trace rows x d_z = {rows} x {model.d_z} is more values than one array can hold "
+                            f"(n_iters = {n_iters}, record_every = {every})")
     if rules is not None and rules[0] == "mstep" and type(model).marginal_mstep is Model.marginal_mstep:
         problems.append(f"algorithm {algorithm!r} needs a closed-form M-step, which {type(model).__name__} lacks")
     if init is not None:
@@ -410,9 +467,17 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     return problems
 
 
+def _trace_rows(n_iters: int, record_every: int) -> int:
+    """The records of a run: iteration 0, every ``record_every``-th iteration and the last one."""
+    return 1 + -(-int(n_iters) // int(record_every))
+
+
 def _metric_value(name: str, value) -> float:
-    """A metric hook's value as a float; a value that float() refuses is a ConfigError naming the hook."""
+    """A metric hook's value as a float; a complex value, or one that float() refuses, is a ConfigError
+    naming the hook."""
     try:
+        if isinstance(value, np.complexfloating):  # float() would keep its real part, with only a warning
+            raise TypeError(f"got the complex value {value!r}")
         return float(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError([f"metric hook {name!r} must return a real number: {err}"]) from None
@@ -422,9 +487,11 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     """Execute T optimizer steps and return the recorded trace.
 
     Iteration 0 (the initialization) is always recorded, then every
-    ``record_every`` iterations plus the final one. Identical (algorithm,
-    model, config, seed) produce bit-identical traces. On divergence a
-    :class:`DivergedError` is raised with the partial trace attached.
+    ``record_every`` iterations plus the final one: 1 + ceil(n_iters /
+    record_every) rows, which the :class:`Trace` allocates before the first
+    step. Identical (algorithm, model, config, seed) produce bit-identical
+    traces. On divergence a :class:`DivergedError` is raised with the partial
+    trace attached: the rows recorded before the failing step.
     """
     problems = validate_run(algorithm, config, model)
     if problems:
@@ -447,13 +514,22 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
         options["particle_grads_use_new_theta"] = config.particle_grads_use_new_theta
     options["scratch"] = Scratch()  # one per run; a model never holds it
 
-    trace = Trace(initial_particles=z0.copy())
+    hooks = config.metric_hooks
+    trace = Trace.allocate(_trace_rows(config.n_iters, config.record_every), state.theta.shape, z0.shape[1], hooks,
+                           z0.copy())
+    columns = [(name, hook, trace._metrics[name]) for name, hook in hooks.items()]
 
     def record(iteration: int, theta: np.ndarray, particles: np.ndarray) -> None:
+        k = trace._count
         # hooks may overflow to inf on states that are en route to divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            metrics = {name: _metric_value(name, hook(theta, particles)) for name, hook in config.metric_hooks.items()}
-        trace.records.append(TraceRecord(iteration, theta.copy(), particle_mean(particles), metrics))
+            for name, hook, column in columns:
+                column[k] = _metric_value(name, hook(theta, particles))
+        trace._iterations[k], trace._theta[k] = iteration, theta
+        mean = trace._particle_mean[k]  # particle_mean(particles) bit for bit, in its row
+        np.add.reduce(particles, 0, out=mean)
+        np.true_divide(mean, particles.shape[0], out=mean)
+        trace._count = k + 1
 
     record(0, state.theta, state.particles)
     for t in range(1, config.n_iters + 1):

@@ -41,6 +41,8 @@ from .models.base import particle_mean
 logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "PARTICLE_EM_WORKERS"
+#: the trace rows the CSV writer reads from the columns at a time
+TRACE_CSV_BLOCK = 256
 
 #: the final metric a sweep summarizes each grid point by, unless ``sweep_metric`` names another
 SUMMARY_METRICS = {"toy": "theta_mse", "logreg": "test_error", "network": "mean_log_joint"}
@@ -139,12 +141,23 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
     # csv quotes a field for "\n" but not for a bare "\r", which a reader then takes for a line end
-    bad = sorted(name for name in set().union(*(rec.metrics for rec in trace.records)) if "\r" in name)
+    names = trace.metric_names
+    bad = sorted(name for name in names if "\r" in name)
     if bad:
         raise ValueError(f"metric name {bad[0]!r} contains a carriage return; the trace CSV cannot hold it")
-    rows = ([rec.iteration, name, repr(float(value))]
-            for rec in trace.records for name, value in rec.metrics.items())
-    _write_csv(path, ["iteration", "metric", "value"], rows)
+    columns = [trace.iterations()] + [trace.metric_values(name)[1] for name in names]
+    _write_csv(path, ["iteration", "metric", "value"], _trace_csv_rows(names, columns))
+
+
+def _trace_csv_rows(names, columns):
+    """The trace CSV's rows, iteration by iteration and metric by metric. The columns are read as Python
+    ints and floats a block of rows at a time: a numpy scalar per value is slow, and a whole column at
+    once would hold a Python float for every value of the trace."""
+    for start in range(0, len(columns[0]), TRACE_CSV_BLOCK):
+        iterations, *values = (column[start:start + TRACE_CSV_BLOCK].tolist() for column in columns)
+        for k, iteration in enumerate(iterations):
+            for name, column in zip(names, values):
+                yield [iteration, name, repr(column[k])]
 
 
 def _write_sidecar(path: str, config: ExperimentConfig, info: dict) -> None:
@@ -250,7 +263,7 @@ def _run_single(config: ExperimentConfig) -> tuple[float, bool]:
     _write_sidecar(base + ".json", config, info)
     if info["diverged"]:
         return float("inf"), True
-    return trace.records[-1].metrics[_summary_metric(config)], False
+    return float(trace.metric_values(_summary_metric(config))[1][-1]), False
 
 
 def _sweep_point(config: ExperimentConfig) -> float:
@@ -324,7 +337,7 @@ def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
     cloud, iteration = trace.initial_particles, 0
     if at == "final":  # a diverged run keeps the cloud from before the step that diverged
         cloud = trace.final_particles
-        iteration = info["diverged_at"] - 1 if info["diverged"] else trace.records[-1].iteration
+        iteration = info["diverged_at"] - 1 if info["diverged"] else trace.final().iteration
 
     path = os.path.join(config.output_dir, config.resolved_name() + f"_particles_{at}.csv")
     if config.model == "network":

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
-from .algorithms import RunConfig, RunOptions, validate_run
+from .algorithms import RunConfig, RunOptions, _is_number, validate_run
 from .data import content_lines
 from .exceptions import ConfigError
 
@@ -92,8 +93,16 @@ def _parse_bool(text: str) -> bool:
 #: the parser of each annotation a config field has; ``X | None`` parses as X
 _TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
                  "list[float]": lambda text: [float(v) for v in text.split(",") if v.strip()]}
+#: what the parser of each annotation outside ``_RUN_KEYS`` gives, as a test of a value set directly and in
+#: words; numpy scalars pass, and a bool is never a number
+_TYPE_CHECKS = {"int": (lambda v: _is_number(v, numbers.Integral), "an integer"),
+                "float": (_is_number, "a real number"),
+                "str": (lambda v: isinstance(v, str), "a str"),
+                "list[float]": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of real numbers")}
 #: how each key's text becomes its value: the parser of its ExperimentConfig field's annotation
 _PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
+#: the keys validate_run checks, as the run's options, counts and seed, or as the algorithm
+_RUN_KEYS = {f.name for f in fields(RunOptions)} | {"particles", "iters", "seed", "algorithm"}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -145,9 +154,29 @@ def parse_config(path: str | None = None, overrides: Mapping[str, object] | None
     return config
 
 
+def _mistyped(config: ExperimentConfig) -> list[str]:
+    """One problem per field outside ``_RUN_KEYS`` whose value is not of the type its key's parser gives."""
+    problems = []
+    for f in fields(ExperimentConfig):
+        if f.name in _RUN_KEYS:
+            continue
+        kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
+        is_kind, words = _TYPE_CHECKS[kind]
+        if not (value is None and kind != f.type or is_kind(value)):
+            problems.append(f"{f.name} must be {words}, got {value!r}")
+    return problems
+
+
 def validate(config: ExperimentConfig) -> list[str]:
-    """Return all constraint violations of a resolved config."""
-    problems: list[str] = []
+    """Return all constraint violations of a resolved config.
+
+    Fields of the wrong type (possible only in a config built directly, not
+    through :func:`parse_config`) are reported without the other checks,
+    which read each field as the type its key's parser gives.
+    """
+    problems = _mistyped(config)
+    if problems:
+        return problems
     if config.model not in MODELS:
         problems.append(f"model must be one of {MODELS}, got {config.model!r}")
     # a sweep runs each grid value in place of the swept field, and the sweep checks below cover

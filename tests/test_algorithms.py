@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -671,6 +672,114 @@ class TestRunLoop:
         with pytest.raises(ConfigError) as excinfo:
             run("adaptive_coin_em", toy_model(), RunConfig(n_particles=3, n_iters=1, metric_hooks=hooks))
         assert excinfo.value.violations == [f"metric hook 'bad' must return a real number: {reason}"]
+
+    @pytest.mark.parametrize("value", [np.complex128(1 + 2j), np.complex64(3), np.clongdouble(-0.0)],
+                             ids=["complex128", "complex64-real", "clongdouble-zero"])
+    def test_complex_hook_value_is_a_config_error(self, value):
+        # float() keeps a numpy complex scalar's real part with only a ComplexWarning
+        hooks = {"theta": lambda th, Z: float(th[0]), "bad": lambda th, Z: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as excinfo:
+                run("pgd", toy_model(), RunConfig(n_particles=3, n_iters=1, gamma=0.1, metric_hooks=hooks))
+        assert excinfo.value.violations == [
+            f"metric hook 'bad' must return a real number: got the complex value {value!r}"]
+
+
+class TestColumnarTrace:
+    HOOKS = {"theta": lambda th, Z: float(th[0]), "spread": lambda th, Z: float(Z.std())}
+
+    @pytest.mark.parametrize("n_iters,every,expected", [
+        (0, 3, [0]),
+        (1, 3, [0, 1]),
+        (9, 3, [0, 3, 6, 9]),
+        (10, 3, [0, 3, 6, 9, 10]),
+        (10, 1, list(range(11))),
+        (4, 10 ** 30, [0, 4]),
+    ], ids=["zero", "one", "multiple", "multiple-plus-one", "every", "huge-every"])
+    def test_rows_are_allocated_at_their_final_count(self, n_iters, every, expected):
+        config = RunConfig(n_particles=3, n_iters=n_iters, seed=1, record_every=every, metric_hooks=self.HOOKS)
+        trace = run("adaptive_coin_em", toy_model(), config)
+        assert trace.iterations().tolist() == expected and len(expected) == 1 + math.ceil(n_iters / every)
+        # every column was allocated once, at the run's row count, and is full
+        final = trace.final()
+        for column in (trace.iterations(), final.theta, final.particle_mean, trace.metric_values("spread")[1]):
+            assert column.base.shape[0] == len(expected)
+
+    def test_accessors_agree_and_are_read_only(self):
+        config = RunConfig(n_particles=4, n_iters=7, seed=2, record_every=2, metric_hooks=self.HOOKS)
+        trace = run("adaptive_coin_em", toy_model(d_z=3), config)
+        records = trace.records
+        assert [r.iteration for r in records] == trace.iterations().tolist() == [0, 2, 4, 6, 7]
+        assert trace.metric_names == ("theta", "spread")
+        for name in trace.metric_names:
+            its, values = trace.metric_values(name)
+            assert_bitwise_equal(its, trace.iterations())
+            assert_bitwise_equal(values, np.array([r.metrics[name] for r in records]))
+            assert all(type(r.metrics[name]) is float for r in records)
+        final = trace.final()
+        assert final.iteration == 7 and final.metrics == records[-1].metrics
+        assert_bitwise_equal(final.theta, records[-1].theta)
+        assert_bitwise_equal(final.theta, trace.final_theta)
+        assert_bitwise_equal(final.particle_mean, records[-1].particle_mean)
+        assert_bitwise_equal(final.particle_mean, trace.final_particles.mean(axis=0))
+        arrays = [trace.iterations(), trace.metric_values("theta")[1], final.theta, final.particle_mean,
+                  records[0].theta, records[0].particle_mean]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_a_diverged_run_exposes_the_rows_before_its_failing_step(self):
+        m = toy_model(d_z=100, seed=0)
+        with pytest.raises(DivergedError) as excinfo:
+            run("pgd", m, RunConfig(n_particles=5, n_iters=200, gamma=50.0, seed=2, record_every=1,
+                                    metric_hooks=self.HOOKS))
+        err = excinfo.value
+        count = err.iteration  # iterations 0 .. iteration - 1 were recorded
+        trace = err.trace
+        assert len(trace.records) == len(trace.metric_values("theta")[1]) == count
+        assert trace.iterations().tolist() == list(range(count))
+        assert trace.final().iteration == count - 1
+        assert_bitwise_equal(trace.final().theta, trace.final_theta)
+
+    def test_trace_built_from_columns(self):
+        trace = Trace([0, 5], [[1.0], [2.0]], [[0.5, 0.25], [-0.0, 3.0]], {"m": [math.inf, math.nan]})
+        assert trace.metric_names == ("m",)
+        [first, last] = trace.records
+        assert (first.iteration, first.metrics) == (0, {"m": math.inf})
+        assert last.iteration == 5 and math.isnan(last.metrics["m"]) and math.copysign(1.0, last.particle_mean[0]) < 0
+        assert Trace([0], [[1.0]], [[0.0]]).metric_names == ()
+
+    def test_trace_rows_no_array_can_hold_are_a_config_error(self):
+        model = toy_model(d_z=100)
+        config = RunConfig(n_particles=3, n_iters=2 ** 62, gamma=0.1, record_every=1)
+        rows = 2 ** 62 + 1
+        assert validate_run("pgd", config, model) == [
+            f"trace rows x d_z = {rows} x 100 is more values than one array can hold "
+            f"(n_iters = {2 ** 62}, record_every = 1)"]
+        assert validate_run("pgd", dataclasses.replace(config, record_every=2 ** 20), model) == []
+        assert validate_run("pgd", config) == []  # the row size needs the model
+
+    def test_trace_bytes_are_its_columns(self):
+        """A 500-iteration toy pgd run recording every iteration keeps its columns and its two clouds, not
+        an object per record (which held 744 KB here)."""
+        n, d_z, n_iters = 10, 100, 500
+        hooks = {f"h{k}": (lambda k: lambda th, Z: float(th[0]) + k)(k) for k in range(5)}
+        model = toy_model(d_z=d_z, seed=4)
+        config = RunConfig(n_particles=n, n_iters=n_iters, gamma=1e-3, seed=5, record_every=1, metric_hooks=hooks)
+        run("pgd", model, config)  # warm: first-call caches are not the trace's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run("pgd", model, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = n_iters + 1
+        assert len(trace.iterations()) == rows
+        columns = 8 * rows * (2 + model.d_theta + d_z + len(hooks))
+        clouds = 2 * 8 * n * d_z
+        assert held <= 1.1 * columns + clouds, (held, columns, clouds)
 
 
 #: values of the wrong kind for some RunConfig field, or of the right kind at an extreme

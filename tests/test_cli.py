@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import particle_em
 from particle_em import cli
 from particle_em import config as config_module
-from particle_em.algorithms import ALGORITHMS, RunConfig, RunOptions, Trace, TraceRecord
+from particle_em.algorithms import ALGORITHMS, RunConfig, RunOptions, Trace
 from particle_em.cli import derive_seed, dump_particles, main, run_sweep
 from particle_em.config import ExperimentConfig, parse_config, validate
 from particle_em.data import MAX_FLOAT64S
@@ -229,9 +229,21 @@ def test_typed_override_is_read_from_its_text(key, value, message):
      "sweep_param must be one of ('gamma', 'particles'), got 'iters'"),
     ({"sweep_param": "particles", "sweep_values": [2.0, 2.5]}, "sweep over particles requires integer values"),
     ({"model": "logreg"}, "logreg model requires data_path"),
-], ids=["run_index", "seed", "seed_type", "sweep_param", "particles_sweep", "data_path"])
+    # a config built directly can hold a value of another type than its key's parser gives
+    ({"run_index": "x"}, "run_index must be an integer, got 'x'"),
+    ({"name": 5}, "name must be a str, got 5"),
+    ({"sweep_param": "gamma", "sweep_values": 5}, "sweep_values must be a list of real numbers, got 5"),
+], ids=["run_index", "seed", "seed_type", "sweep_param", "particles_sweep", "data_path", "run_index_type",
+        "name_type", "sweep_values_type"])
 def test_validate_names_each_violation(changes, message):
     assert validate(ExperimentConfig(**{"model": "toy", "algorithm": "adaptive_coin_em", **changes})) == [message]
+
+
+def test_validate_takes_numbers_of_the_parsed_kind_built_directly():
+    config = ExperimentConfig(model="toy", algorithm="svgd_em", gamma=0.1, theta_true=1, toy_dim=np.int64(5),
+                              run_index=np.uint8(2), prior_var=np.float32(2.0), sweep_param="particles",
+                              sweep_values=[2, np.float64(3.0)], data_path=None)
+    assert validate(config) == []
 
 
 class TestDeriveSeed:
@@ -476,10 +488,9 @@ class TestRunCommand:
         iterations = sorted(data.draw(st.sets(st.integers(0, 10**9), min_size=1, max_size=5)))
         special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.2250738585072014e-308])
         values = special | st.floats(allow_nan=False)
-        trace = Trace(records=[
-            TraceRecord(it, np.zeros(1), np.zeros(1), {name: data.draw(values) for name in names})
-            for it in iterations
-        ])
+        drawn = [{name: data.draw(values) for name in names} for _ in iterations]
+        zeros = np.zeros((len(iterations), 1))
+        trace = Trace(iterations, zeros, zeros, {name: [row[name] for row in drawn] for name in names})
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trace.csv")
             if any("\r" in name for name in names):
@@ -492,10 +503,22 @@ class TestRunCommand:
             with open(path, newline="", encoding="utf-8") as fh:
                 header, *rows = list(csv.reader(fh))
         assert header == ["iteration", "metric", "value"]
-        expected = [(rec.iteration, name, value) for rec in trace.records for name, value in rec.metrics.items()]
+        expected = [(it, name, value) for it, row in zip(iterations, drawn) for name, value in row.items()]
         assert [(int(it), name) for it, name, _ in rows] == [(it, name) for it, name, _ in expected]
         # bit-identical, -0.0, subnormals and the infinities included; nan is the one nan the CSV can spell
         assert [np.float64(float(v)).tobytes() for _, _, v in rows] == [np.float64(v).tobytes() for *_, v in expected]
+
+    @pytest.mark.parametrize("rows", [cli.TRACE_CSV_BLOCK, cli.TRACE_CSV_BLOCK + 1, 2 * cli.TRACE_CSV_BLOCK + 3])
+    def test_trace_csv_rows_cross_the_read_blocks(self, rows, tmp_path):
+        iterations = 3 * np.arange(rows)
+        values = {"a": np.arange(rows) / 7.0, "b": -1e-310 * np.arange(rows)}
+        trace = Trace(iterations, np.zeros((rows, 1)), np.zeros((rows, 1)), values)
+        path = tmp_path / "trace.csv"
+        cli._write_trace_csv(str(path), trace)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows_read = list(csv.reader(fh))[1:]
+        assert rows_read == [[str(it), name, repr(float(column[k]))]
+                             for k, it in enumerate(iterations) for name, column in values.items()]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, TOY_CFG), "--gamma", "0.1"])

@@ -16,7 +16,9 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``grad_z``, ``mean_grad_theta``, the toy ``marginal_mstep`` and the
   logistic ``predict_proba``) on seeded clouds of ``MODEL_SIZES`` particles,
   for the toy, network and logreg models of the groups below;
-- toy: N=100 particles, d=10, all six algorithms;
+- toy: N=100 particles, d=10, all six algorithms; and ``pgd`` recording
+  every iteration with the hooks of ``SPECIAL_HOOKS``, which return -0.0,
+  inf and nan, so the trace's columns carry special values both ways;
 - network: four algorithms from the model's ``default_init`` on
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
   ``adaptive_coin_em``; and ``pgd`` and old-theta ``adaptive_coin_em`` on a
@@ -76,6 +78,9 @@ GROUPS = ("golden", "kernels", "models", "toy", "network", "logreg", "cli")
 KERNEL_SHAPES = ((1, 1), (2, 1), (3, 2), (100, 1), (100, 30), (2, 9000), (9, 8193))
 #: N of the models group's clouds: one particle, one pair, and a small cloud
 MODEL_SIZES = (1, 2, 10)
+#: metric hooks that return the special values a trace must keep bit for bit, as a float or a numpy scalar
+SPECIAL_HOOKS = {"neg_zero": lambda th, Z: -0.0, "inf": lambda th, Z: np.float64(np.inf),
+                 "nan": lambda th, Z: float("nan")}
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +210,8 @@ def emit(out: Path, tiny: bool) -> None:
     for algorithm in ALL:
         config = RunConfig(n_particles=100, n_iters=iters, gamma=GAMMA.get(algorithm), seed=1, record_every=every)
         _capture_run(arrays, f"toy/{algorithm}", algorithm, toy, config)
+    config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA["pgd"], seed=1, metric_hooks=SPECIAL_HOOKS)
+    _capture_run(arrays, "toy/pgd-special-hooks", "pgd", toy, config)
 
     iters, every = (5, 1) if tiny else (100, 10)
     network = LatentSpaceNetworkModel(load_edgelist("configs/network_edges.txt").to_adjacency(), embed_dim=2)
