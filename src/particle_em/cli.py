@@ -42,7 +42,7 @@ logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "PARTICLE_EM_WORKERS"
 #: the trace rows the CSV writer reads from the columns at a time
-TRACE_CSV_BLOCK = 256
+TRACE_CSV_BLOCK = 32
 
 #: the final metric a sweep summarizes each grid point by, unless ``sweep_metric`` names another
 SUMMARY_METRICS = {"toy": "theta_mse", "logreg": "test_error", "network": "mean_log_joint"}

@@ -93,16 +93,30 @@ def _parse_bool(text: str) -> bool:
 #: the parser of each annotation a config field has; ``X | None`` parses as X
 _TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
                  "list[float]": lambda text: [float(v) for v in text.split(",") if v.strip()]}
-#: what the parser of each annotation outside ``_RUN_KEYS`` gives, as a test of a value set directly and in
-#: words; numpy scalars pass, and a bool is never a number
-_TYPE_CHECKS = {"int": (lambda v: _is_number(v, numbers.Integral), "an integer"),
-                "float": (_is_number, "a real number"),
-                "str": (lambda v: isinstance(v, str), "a str"),
-                "list[float]": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of real numbers")}
+#: what the parser of each annotation outside ``_RUN_KEYS`` gives, in words, then as a test of a value set
+#: directly: the builtin types that pass at once, and the test of any other value (numpy scalars pass, a
+#: bool is never a number). The config is checked on every parse, so the common values take no call.
+_TYPE_CHECKS = {"int": ("an integer", (int,), lambda v: _is_number(v, numbers.Integral)),
+                "float": ("a real number", (float, int), _is_number),
+                "str": ("a str", (str,), lambda v: isinstance(v, str)),
+                "list[float]": ("a list of real numbers", (), lambda v: isinstance(v, list) and (
+                    {*map(type, v)} <= {float} or all(map(_is_number, v))))}
 #: how each key's text becomes its value: the parser of its ExperimentConfig field's annotation
 _PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
 #: the keys validate_run checks, as the run's options, counts and seed, or as the algorithm
 _RUN_KEYS = {f.name for f in fields(RunOptions)} | {"particles", "iters", "seed", "algorithm"}
+
+
+def _typed_field(f) -> tuple:
+    """(name, words, types that pass at once, test of any other value) of one field; None passes at once
+    where the annotation allows it."""
+    words, types, test = _TYPE_CHECKS[f.type.removesuffix(" | None")]
+    if f.type.endswith(" | None"):
+        types += (type(None),)
+    return f.name, words, types, test
+
+
+_TYPED_FIELDS = [_typed_field(f) for f in fields(ExperimentConfig) if f.name not in _RUN_KEYS]
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -157,13 +171,10 @@ def parse_config(path: str | None = None, overrides: Mapping[str, object] | None
 def _mistyped(config: ExperimentConfig) -> list[str]:
     """One problem per field outside ``_RUN_KEYS`` whose value is not of the type its key's parser gives."""
     problems = []
-    for f in fields(ExperimentConfig):
-        if f.name in _RUN_KEYS:
-            continue
-        kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
-        is_kind, words = _TYPE_CHECKS[kind]
-        if not (value is None and kind != f.type or is_kind(value)):
-            problems.append(f"{f.name} must be {words}, got {value!r}")
+    for name, words, types, test in _TYPED_FIELDS:
+        value = getattr(config, name)
+        if type(value) not in types and not test(value):
+            problems.append(f"{name} must be {words}, got {value!r}")
     return problems
 
 
