@@ -233,8 +233,10 @@ def test_typed_override_is_read_from_its_text(key, value, message):
     ({"run_index": "x"}, "run_index must be an integer, got 'x'"),
     ({"name": 5}, "name must be a str, got 5"),
     ({"sweep_param": "gamma", "sweep_values": 5}, "sweep_values must be a list of real numbers, got 5"),
+    ({"sweep_param": "gamma", "sweep_values": [0.5, "x"]},
+     "sweep_values must be a list of real numbers, got [0.5, 'x']"),
 ], ids=["run_index", "seed", "seed_type", "sweep_param", "particles_sweep", "data_path", "run_index_type",
-        "name_type", "sweep_values_type"])
+        "name_type", "sweep_values_type", "sweep_value_type"])
 def test_validate_names_each_violation(changes, message):
     assert validate(ExperimentConfig(**{"model": "toy", "algorithm": "adaptive_coin_em", **changes})) == [message]
 
@@ -242,7 +244,7 @@ def test_validate_names_each_violation(changes, message):
 def test_validate_takes_numbers_of_the_parsed_kind_built_directly():
     config = ExperimentConfig(model="toy", algorithm="svgd_em", gamma=0.1, theta_true=1, toy_dim=np.int64(5),
                               run_index=np.uint8(2), prior_var=np.float32(2.0), sweep_param="particles",
-                              sweep_values=[2, np.float64(3.0)], data_path=None)
+                              sweep_values=[2, np.float64(3.0)], data_path=None, name=np.str_("run"))
     assert validate(config) == []
 
 
