@@ -6,6 +6,12 @@ final parameter. Sweeps run one grid point per worker (worker count from the
 ``PARTICLE_EM_WORKERS`` env var) and assemble a ``<name>_sweep.csv`` summary;
 a diverged grid point is recorded as ``inf`` rather than failing the sweep.
 
+The CSV files are written as text this module encodes, with csv's minimal
+quoting under a ``"\\n"`` line terminator: a field is quoted when it holds
+``,``, ``"`` or ``\\n``, and each ``"`` inside is doubled. A bare ``\\r`` is
+left unquoted, so a metric name holding one is refused: a reader would end
+the row there.
+
 Seed derivation: from a master seed S, the dataset stream uses
 SeedSequence([S, 0]) and run k uses SeedSequence([S, 1, k]), so any sweep
 point can be reproduced individually via ``run --seed S --run-index k`` with
@@ -15,7 +21,6 @@ its grid value; ``run`` is always one run and ignores the sweep keys.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import functools
 import glob
@@ -130,17 +135,32 @@ def _summary_metric(config: ExperimentConfig) -> str:
     return config.sweep_metric or SUMMARY_METRICS[config.model]
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    """Write one CLI CSV file, creating its directory."""
+def _csv_line(fields) -> str:
+    """One CSV row as text, the bytes ``csv.writer(fh, lineterminator="\\n").writerow(fields)`` writes for
+    str, int and float fields: each field is its ``str``, quoted when it holds a ``,``, a ``"`` or a
+    ``\\n``, with each ``"`` inside doubled. A bare ``\\r`` is left unquoted, as csv leaves it. A row of
+    one empty field is out of scope: csv spells it ``""``, and no CLI file has one-field rows."""
+    return ",".join(map(_csv_field, fields)) + "\n"
+
+
+def _csv_field(value) -> str:
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str, header: list, lines) -> None:
+    """Write one CLI CSV file, creating its directory: the header row, then ``lines``, strings already
+    encoded as ``_csv_line`` encodes a row, each one row or a block of rows."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
 
 
 def _write_trace_csv(path: str, trace: Trace) -> None:
-    # csv quotes a field for "\n" but not for a bare "\r", which a reader then takes for a line end
+    # a bare "\r" is left unquoted, and a reader then takes it for a line end
     names = trace.metric_names
     bad = sorted(name for name in names if "\r" in name)
     if bad:
@@ -150,14 +170,15 @@ def _write_trace_csv(path: str, trace: Trace) -> None:
 
 
 def _trace_csv_rows(names, columns):
-    """The trace CSV's rows, iteration by iteration and metric by metric. The columns are read as Python
-    ints and floats a block of rows at a time: a numpy scalar per value is slow, and a whole column at
-    once would hold a Python float for every value of the trace."""
+    """The trace CSV's rows, iteration by iteration and metric by metric, as one string per block of
+    ``TRACE_CSV_BLOCK`` iterations. The columns are read as Python ints and floats a block at a time: a
+    numpy scalar per value is slow, and a whole column at once would hold a Python float for every
+    value of the trace. Each name is encoded once."""
+    fields = [_csv_field(name) for name in names]
     for start in range(0, len(columns[0]), TRACE_CSV_BLOCK):
         iterations, *values = (column[start:start + TRACE_CSV_BLOCK].tolist() for column in columns)
-        for k, iteration in enumerate(iterations):
-            for name, column in zip(names, values):
-                yield [iteration, name, repr(column[k])]
+        yield "".join([f"{iteration},{field},{value!r}\n"
+                       for iteration, row in zip(iterations, zip(*values)) for field, value in zip(fields, row)])
 
 
 def _write_sidecar(path: str, config: ExperimentConfig, info: dict) -> None:
@@ -294,12 +315,10 @@ def _worker_count(n_points: int) -> int:
     return min(workers, n_points)
 
 
-def run_sweep(config: ExperimentConfig) -> str:
-    """Run every grid point and write the summary CSV; returns its path."""
-    points = _point_configs(config)
-    workers = _worker_count(len(points))
-    # before any point runs: the run checks and the hooks depend on the model and the particle count
-    # only, and every point shares the data seed, so one model build serves each distinct count
+def _check_sweep(config: ExperimentConfig, points: list[ExperimentConfig]) -> None:
+    """Raise one ConfigError for every problem some grid point would meet. The run checks and the hooks
+    depend on the model and the particle count only, and every point shares the data seed, so one
+    model build serves each distinct count; it is dropped on return, before any point runs."""
     summary = _summary_metric(config)
     model, extras = _build_model(config, derive_seed(config.seed, 0))
     problems = []
@@ -311,6 +330,13 @@ def run_sweep(config: ExperimentConfig) -> str:
                             f"at {point.particles} particle(s)")
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
+
+
+def run_sweep(config: ExperimentConfig) -> str:
+    """Run every grid point and write the summary CSV; returns its path."""
+    points = _point_configs(config)
+    workers = _worker_count(len(points))
+    _check_sweep(config, points)
     if workers <= 1:
         finals = [_sweep_point(point) for point in points]
     else:
@@ -318,8 +344,8 @@ def run_sweep(config: ExperimentConfig) -> str:
             finals = list(pool.map(_sweep_point, points))
 
     summary_path = os.path.join(config.output_dir, config.resolved_name() + "_sweep.csv")
-    rows = ([repr(float(value)), repr(metric)] for value, metric in zip(config.sweep_values, finals))
-    _write_csv(summary_path, ["sweep_value", "final_metric"], rows)
+    lines = (_csv_line([repr(float(value)), repr(metric)]) for value, metric in zip(config.sweep_values, finals))
+    _write_csv(summary_path, ["sweep_value", "final_metric"], lines)
     return summary_path
 
 
@@ -343,12 +369,12 @@ def dump_particles(config: ExperimentConfig, at: str = "final") -> str:
     if config.model == "network":
         labels, dim = info["node_labels"], config.embed_dim
         header = ["iteration", "particle", "node", "label"] + [f"c{d}" for d in range(dim)]
-        rows = ([iteration, i, node, labels[node]] + [repr(float(v)) for v in pos]
-                for i, flat in enumerate(cloud) for node, pos in enumerate(flat.reshape(-1, dim)))
+        lines = (_csv_line([iteration, i, node, labels[node]] + [repr(float(v)) for v in pos])
+                 for i, flat in enumerate(cloud) for node, pos in enumerate(flat.reshape(-1, dim)))
     else:
         header = ["iteration", "particle"] + [f"z{d}" for d in range(cloud.shape[1])]
-        rows = ([iteration, i] + [repr(float(v)) for v in row] for i, row in enumerate(cloud))
-    _write_csv(path, header, rows)
+        lines = (_csv_line([iteration, i] + [repr(float(v)) for v in row]) for i, row in enumerate(cloud))
+    _write_csv(path, header, lines)
     return path
 
 

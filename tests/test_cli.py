@@ -1,11 +1,14 @@
 import csv
 import glob
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -522,6 +525,35 @@ class TestRunCommand:
         assert rows_read == [[str(it), name, repr(float(column[k]))]
                              for k, it in enumerate(iterations) for name, column in values.items()]
 
+    # text drawing the characters csv quotes on, a bare carriage return and spaces half the time
+    @given(st.lists(st.text(st.sampled_from(',"\n\r ') | st.characters(blacklist_categories=("Cs",)), max_size=8)
+                    | st.integers()
+                    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310]) | st.floats(),
+                    min_size=2, max_size=5))
+    def test_csv_line_is_the_csv_writers_row(self, fields):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(fields)
+        assert cli._csv_line(fields) == out.getvalue()
+
+    def test_warm_trace_csv_write_peaks_under_64_kb(self, tmp_path):
+        # a pgd-sweep point recording every iteration: 501 rows of the toy model's five hooks; a
+        # csv.writer's record buffer alone is 128 KB
+        cfg = parse_config(None, {"model": "toy", "algorithm": "pgd", "gamma": 0.001, "particles": 10,
+                                  "iters": 500, "record_every": 1, "seed": 0, "toy_dim": 100})
+        trace, _ = cli.execute_run(cfg)
+        assert len(trace.iterations()) == 501 and len(trace.metric_names) == 5
+        path = str(tmp_path / "trace.csv")
+        tracemalloc.start()
+        try:
+            cli._write_trace_csv(path, trace)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cli._write_trace_csv(path, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 64 * 1024
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = main(["run", "--config", write_config(tmp_path, TOY_CFG), "--gamma", "0.1"])
         assert code == 2
@@ -739,6 +771,26 @@ class TestSweepCommand:
         assert "summary metric 'nope' is not recorded for model 'toy'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_check_model_is_freed_before_the_first_point_runs(self, tmp_path, monkeypatch):
+        # otherwise a serial sweep holds a second copy of the model's data through every point
+        built, dead = [], []
+        build_model, sweep_point = cli._build_model, cli._sweep_point
+
+        def recording_build(config, data_seed):
+            model, extras = build_model(config, data_seed)
+            built.append(weakref.ref(model))
+            return model, extras
+
+        def first_sees(point):
+            dead.append(built[0]() is None)
+            return sweep_point(point)
+
+        monkeypatch.setattr(cli, "_build_model", recording_build)
+        monkeypatch.setattr(cli, "_sweep_point", first_sees)
+        monkeypatch.setenv(cli.WORKERS_ENV, "1")
+        assert main(self.sweep_config(tmp_path, "0.001,0.01", tmp_path / "sweep")) == 0
+        assert dead == [True, True]
+
     def test_sweep_metric_names_the_summary_column(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(self.sweep_config(tmp_path, "0.001,0.01", out) + ["--sweep-metric", "post_mean_mse"]) == 0
@@ -834,6 +886,21 @@ class TestDumpCommand:
         assert len(rows) == 3 * 4  # one row per (particle, node)
         assert set(rows[0]) == {"iteration", "particle", "node", "label", "c0", "c1"}
         assert {r["label"] for r in rows} == {"a", "b", "c", "d"}
+
+    def test_network_snapshot_labels_read_back_exactly(self, tmp_path):
+        # the labels file keeps the rest of each line, so a label may hold the characters csv quotes on
+        edges = tmp_path / "net.txt"
+        edges.write_text("a b\nb c\nc d\na d\n", encoding="utf-8")
+        labels = {"a": "Smith, J.", "b": 'the "hub"', "c": "São  Paulo — 東京", "d": '"," ,""'}
+        (tmp_path / "labels.txt").write_text("".join(f"{node} {label}\n" for node, label in labels.items()),
+                                             encoding="utf-8")
+        cfg = write_config(tmp_path, f"model = network\nalgorithm = adaptive_coin_em\nparticles = 3\niters = 2\n"
+                                     f"seed = 1\nedgelist_path = {edges}\nlabels_path = {tmp_path / 'labels.txt'}\n")
+        assert main(["dump", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "network_adaptive_coin_em_particles_final.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:4] == ["iteration", "particle", "node", "label"]
+        assert [row[3] for row in rows] == list(labels.values()) * 3
 
     def test_diverged_final_snapshot_labelled_with_its_step(self, tmp_path):
         # divergence at step 84 with record_every 10: the last record is 80, the cloud is from step 83

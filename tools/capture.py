@@ -36,7 +36,8 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``link_sign = plus``; a logreg config reads a seeded synthetic CSV
   in place of the clinical file the repository does not ship; and the
   particle snapshots of ``dump --at init`` and ``--at final`` on the toy and
-  network configs.
+  network configs, and of ``dump --at init`` on the network config with a
+  labels file whose labels the snapshot CSV must quote.
 
 Each library run keeps every record's iteration, theta, particle mean and
 metrics, the initial particles, the final theta and particles, and the
@@ -181,6 +182,14 @@ def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
     plus.write_text(Path("configs/network_coin.cfg").read_text(encoding="utf-8") + "link_sign = plus\n",
                     encoding="utf-8")
     commands["network_plus"] = ["run", "--config", str(plus), "--iters", "100", "--name", "network_plus"]
+    # node labels holding the characters the snapshot CSV quotes on, inner spaces and non-ASCII text
+    labels = out / "network_labels.txt"
+    labels.write_text('v00 Smith, J.\nv01 the "hub"\nv02 São  Paulo — 東京\nv03 "," ,""\n', encoding="utf-8")
+    labelled = out / "network_labelled.cfg"
+    labelled.write_text(Path("configs/network_coin.cfg").read_text(encoding="utf-8") + f"labels_path = {labels}\n",
+                        encoding="utf-8")
+    commands["dump_network_labelled"] = ["dump", "--config", str(labelled), "--at", "init",
+                                         "--name", "network_labelled"]
     # one particle: the toy hooks without posterior_var
     commands["toy_pgd_one_particle"] = ["run", "--model", "toy", "--algorithm", "pgd", "--gamma", "0.01",
                                         "--particles", "1", "--iters", "100", "--record-every", "1", "--seed", "6"]
