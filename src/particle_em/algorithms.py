@@ -27,7 +27,6 @@ record into its row, so a record creates no object.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ import numpy as np
 from . import kernels
 from .data import MAX_FLOAT64S
 from .exceptions import ConfigError, DivergedError
-from .kernels import median_heuristic, stein_direction
+from .kernels import _is_positive_real, median_heuristic, stein_direction
 from .models.base import Model
 from .scratch import Scratch
 
@@ -113,14 +112,16 @@ def _direction(model: Model, theta: np.ndarray, z: np.ndarray, h: float | None,
                scratch: Scratch | None) -> np.ndarray:
     """Kernelized direction of the cloud z with latent gradients at theta (h=None: median heuristic).
 
-    The pair squared distances are computed once and shared by the bandwidth and the kernel.
+    The pair squared distances are computed once and shared by the bandwidth and the kernel, whose
+    values then overwrite them: the step holds that (M,) vector and the (N, N) kernel matrix, no third copy.
     """
     pair_sq = kernels.pair_sq_dists(z, scratch)
     bandwidth = median_heuristic(z, pair_sq=pair_sq) if h is None else float(h)
     # squared distances of an exploding cloud can overflow the heuristic, now or when it was frozen
     if not np.isfinite(bandwidth):
         raise DivergedError("median-heuristic bandwidth overflowed on a diverging cloud")
-    return stein_direction(z, model.grad_z(theta, z, scratch=scratch), bandwidth, pair_sq=pair_sq)
+    return stein_direction(z, model.grad_z(theta, z, scratch=scratch), bandwidth, pair_sq=pair_sq,
+                           overwrite_pair_sq=True)
 
 
 def _kt(x0, x, c, acc: KT, t: int):
@@ -371,14 +372,6 @@ class RunConfig(RunOptions):
 def _is_number(value, kind=numbers.Real) -> bool:
     """Whether ``value`` is a ``kind`` (a :mod:`numbers` class); numpy scalars are, a bool never is."""
     return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_positive_real(value) -> bool:
-    """Whether ``value`` is a real number that is positive and finite as a float64."""
-    try:  # float(), not np.isfinite, which refuses a Python int past int64
-        return _is_number(value) and 0 < float(value) < math.inf
-    except OverflowError:  # a Python int past the largest float64
-        return False
 
 
 def _read_init(init) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,24 @@ squared distances, in row-major i < j order (the order of scipy's ``pdist``):
 :func:`rbf_matrix` and :func:`stein_direction` take it through their
 ``pair_sq`` keyword. Each value equals the one a dense (N, N, d) difference
 tensor gives, bit for bit; :func:`pairwise_sq_dists` is its square form.
+
+A kernelized step holds two arrays whose size grows with N^2 at once: the
+(M,) pair vector and the (N, N) kernel matrix. :func:`rbf_matrix` and
+:func:`stein_direction` take ``overwrite_pair_sq`` (after scipy's
+``overwrite_a``): when True, the kernel values k = exp(-d / h) are written over
+the given ``pair_sq``, if it is a writeable float64 array, and the matrix is
+gathered from it. By default a given ``pair_sq`` is never written, and the
+kernel values go to a fresh (M,) vector; a non-float64 or read-only one is
+always copied. The run's step is the one caller that sets it, on the vector it
+computed for that step. The bandwidth h has one rule everywhere, that of
+:func:`_bandwidth`: a real number, not a bool, finite and > 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -43,6 +55,36 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     slot = np.zeros((n, n), dtype=np.intp)
     slot[iu, ju] = slot[ju, iu] = np.arange(1, iu.size + 1)
     return iu, ju, slot
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_index(n: int) -> np.ndarray:
+    """Each (i, j)'s pair p in the condensed vector of n particles, and -1 on the diagonal.
+
+    ``pairs.take(index)`` is the symmetric (n, n) matrix of the M pair values,
+    with the last pair's value on the diagonal. Cached beside
+    :func:`_pair_table`, and like its arrays never written.
+    """
+    return _pair_table(n)[2] - 1
+
+
+def _is_positive_real(value) -> bool:
+    """Whether ``value`` is a real number (a :class:`numbers.Real`, never a bool) that is positive and
+    finite as a float64: the one rule of a bandwidth, here and in ``algorithms.validate_run``, which
+    applies it to gamma too."""
+    # a float (numpy's float64 included) is a real number: a 30 ns check, where numbers.Real's takes 500
+    real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:  # float(), not np.isfinite, which refuses a Python int past int64
+        return real and 0 < float(value) < math.inf
+    except OverflowError:  # a Python int past the largest float64
+        return False
+
+
+def _bandwidth(h) -> float:
+    """``h`` as a float, converted once; a ValueError unless :func:`_is_positive_real` holds."""
+    if not _is_positive_real(h):
+        raise ValueError(f"bandwidth must be a finite positive number, got {h!r}")
+    return float(h)
 
 
 def _checked(particles, pair_sq=None, d=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -140,40 +182,59 @@ def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None
     return med * med / np.log(n)
 
 
-def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None) -> np.ndarray:
+def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None,
+               overwrite_pair_sq: bool = False) -> np.ndarray:
     """Kernel matrix K[i, j] = exp(-||z_i - z_j||^2 / h), shape (N, N).
 
-    The exponential is taken once per pair and the (N, N) matrix filled by
-    one gather, with 1.0 on the diagonal. ``pair_sq``, if given, must equal
-    ``pair_sq_dists(particles)``.
+    The exponential is taken once per pair, into an (M,) vector, and the
+    (N, N) matrix is gathered from it in one ``take``, with 1.0 then set on
+    the diagonal. ``pair_sq``, if given, must equal ``pair_sq_dists(particles)``.
+    Besides the result, the call holds that one (M,) vector: the distances it
+    computes itself when ``pair_sq`` is None, which it overwrites; with
+    ``overwrite_pair_sq=True``, the given ``pair_sq`` if it is a writeable
+    float64 array, or else the float64 copy the call makes of it; and by
+    default a fresh vector, so that a caller's array is never written. The
+    values are the same either way, bit for bit.
     """
-    h = float(h)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"bandwidth must be a finite positive number, got {h}")
-    z, pair_sq = _checked(particles, pair_sq)
-    pair_sq = pair_sq_dists(z) if pair_sq is None else pair_sq
-    table = np.empty(pair_sq.size + 1)
-    table[0] = 1.0
-    pairs = table[1:]
-    np.exp(np.divide(pair_sq, -h, out=pairs), out=pairs)
-    return table.take(_pair_table(z.shape[0])[2])
+    h = _bandwidth(h)
+    z, given = _checked(particles, pair_sq)
+    n = z.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    if given is None:
+        given = pairs = pair_sq_dists(z)
+    elif overwrite_pair_sq and given.flags.writeable:  # the caller's float64 array, or this call's own copy
+        pairs = given
+    else:
+        pairs = np.empty(given.size)
+    np.exp(np.divide(given, -h, out=pairs), out=pairs)
+    k = pairs.take(_kernel_index(n))
+    k.ravel()[::n + 1] = 1.0  # the diagonal, through a view of the fresh matrix (np.fill_diagonal is 4x slower)
+    return k
 
 
 def stein_direction(
-    particles: np.ndarray, grads: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None
+    particles: np.ndarray, grads: np.ndarray, h: float, *, pair_sq: np.ndarray | None = None,
+    overwrite_pair_sq: bool = False
 ) -> np.ndarray:
     """Per-particle update velocity combining attraction and kernel repulsion.
 
     Row i is (1/N) * sum_j [ k(z_j, z_i) * grads[j] + grad_{z_j} k(z_j, z_i) ],
     where grads[j] is the log-density gradient at particle j and, for the RBF
     kernel, grad_{z_j} k(z_j, z_i) = (2/h) (z_i - z_j) k(z_j, z_i). ``pair_sq``,
-    if given, must equal ``pair_sq_dists(particles)``.
+    if given, must equal ``pair_sq_dists(particles)``. h is checked and
+    converted to a float once, and that value serves the kernel and the
+    repulsion alike. The kernel comes from :func:`rbf_matrix` under the same
+    ``overwrite_pair_sq`` contract, so the call holds one (M,) vector of kernel
+    values and the (N, N) matrix at once; with ``overwrite_pair_sq=True`` that
+    vector is the given ``pair_sq``, if it is a writeable float64 array.
     """
     z, pair_sq = _checked(particles, pair_sq)
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != z.shape:
         raise ValueError(f"grads shape {g.shape} does not match particles shape {z.shape}")
-    k = rbf_matrix(z, h, pair_sq=pair_sq)
+    h = _bandwidth(h)
+    k = rbf_matrix(z, h, pair_sq=pair_sq, overwrite_pair_sq=overwrite_pair_sq)
     n = z.shape[0]
     # K is symmetric; K.T keeps the sum-over-first-argument convention explicit.
     attraction = k.T @ g

@@ -75,8 +75,9 @@ C10 = ["run", "--model", "toy", "--algorithm", "adaptive_coin_em", "--particles"
 PARTICLES_SWEEP = ["sweep", "--model", "toy", "--algorithm", "adaptive_coin_em", "--seed", "4",
                    "--sweep-param", "particles", "--sweep-values", "2,5,10", "--iters", "20"]
 GROUPS = ("golden", "kernels", "models", "toy", "network", "logreg", "cli")
-#: (N, d) of the kernels group's clouds: one particle, one pair, and rows past a chunk of 8192 values
-KERNEL_SHAPES = ((1, 1), (2, 1), (3, 2), (100, 1), (100, 30), (2, 9000), (9, 8193))
+#: (N, d) of the kernels group's clouds: one particle, one pair, rows past a chunk of 8192 values, and a
+#: (300, 1) cloud whose (N, N) kernel, at 720 KB, is past the 128 KB mmap threshold
+KERNEL_SHAPES = ((1, 1), (2, 1), (3, 2), (100, 1), (300, 1), (100, 30), (2, 9000), (9, 8193))
 #: N of the models group's clouds: one particle, one pair, and a small cloud
 MODEL_SIZES = (1, 2, 10)
 #: metric hooks that return the special values a trace must keep bit for bit, as a float or a numpy scalar
