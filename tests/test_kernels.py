@@ -339,7 +339,7 @@ GOOD_BANDWIDTHS = [1, 0.7, np.int64(2), np.float32(0.7), Fraction(1, 3), 5e-324,
 class TestBandwidthRule:
     """h is checked once, by one rule (a real number, not a bool, finite and > 0), and converted once."""
 
-    z = np.zeros((3, 1))
+    z = np.array([[0.0], [1.0], [3.0]])
 
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS, ids=lambda h: repr(h)[:24])
     def test_both_kernel_functions_refuse_it(self, h):
@@ -587,7 +587,7 @@ def _check_faults_per_warm_step(script: str, bound: float = 1.0) -> None:
     faults_per_step = float(_run_fault_script(script).split()[-1])
     print(f"{faults_per_step} minor page faults per warm step")
     assert faults_per_step < bound, (f"{faults_per_step} minor page faults per warm step; a diagnostic rerun "
-                                   f"printed:\n{_run_fault_script(_diagnostic(script))}")
+                                     f"printed:\n{_run_fault_script(_diagnostic(script))}")
 
 
 def test_logreg_steps_reuse_their_pages():
