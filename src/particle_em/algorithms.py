@@ -37,7 +37,7 @@ import numpy as np
 from . import kernels
 from .data import MAX_FLOAT64S
 from .exceptions import ConfigError, DivergedError
-from .kernels import _is_positive_real, median_heuristic, stein_direction
+from .kernels import _is_positive_real, _refusal, median_heuristic, stein_direction
 from .models.base import Model
 from .scratch import Scratch
 
@@ -141,18 +141,26 @@ def _adaptive_update(x0, x, c, acc: Scale, denominator: str):
     ``bnn``. Coordinates that have never seen a non-zero gradient (L = 0) stay
     at their initial value.
     """
+    if denominator not in ("standard", "bnn"):
+        raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
     abs_c = np.abs(c)
     L = np.maximum(acc.L, abs_c)
-    G = acc.G + abs_c
-    R = np.maximum(acc.R + c * (x - x0), 0.0)
+    G = np.add(acc.G, abs_c, out=abs_c)
+    R = np.subtract(x, x0)
+    np.multiply(c, R, out=R)
+    np.add(acc.R, R, out=R)
+    np.maximum(R, 0.0, out=R)
     csum = acc.csum + c
     denom = G + L
     if denominator == "bnn":
-        denom = np.maximum(denom, 100.0 * L)
-    elif denominator != "standard":
-        raise ValueError(f"denominator must be 'standard' or 'bnn', got {denominator!r}")
+        np.maximum(denom, 100.0 * L, out=denom)
+    # the candidate x0 + csum / D * (1 + R / L), built in the denominator's array
     with np.errstate(divide="ignore", invalid="ignore"):
-        candidate = x0 + csum / denom * (1.0 + R / L)
+        wealth = np.divide(R, L)
+        np.add(1.0, wealth, out=wealth)
+        candidate = np.divide(csum, denom, out=denom)
+        np.multiply(candidate, wealth, out=candidate)
+        np.add(x0, candidate, out=candidate)
     # select on L == 0, not L > 0: a NaN gradient makes L NaN, and the NaN must reach the finiteness check
     return np.where(L == 0.0, x0, candidate), Scale(csum, L, G, R)
 
@@ -405,7 +413,7 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
         if config.gamma is None:
             problems.append(f"gamma is required for algorithm {algorithm!r}")
         elif not _is_positive_real(config.gamma):
-            problems.append(f"gamma must be a finite positive number, got {config.gamma!r}")
+            problems.append(_refusal("gamma", config.gamma))
     elif config.gamma is not None:
         problems.append(f"gamma is forbidden for coin algorithm {algorithm!r}")
     for name, low in (("n_particles", 1), ("n_iters", 0), ("record_every", 1), ("seed", 0)):
@@ -420,7 +428,7 @@ def validate_run(algorithm: str, config: RunConfig, model: Model | None = None) 
     if not (isinstance(config.adaptive_denominator, str) and config.adaptive_denominator in ("standard", "bnn")):
         problems.append(f"adaptive_denominator must be 'standard' or 'bnn', got {config.adaptive_denominator!r}")
     if config.bandwidth is not None and not _is_positive_real(config.bandwidth):
-        problems.append(f"bandwidth must be a finite positive number, got {config.bandwidth!r}")
+        problems.append(_refusal("bandwidth", config.bandwidth))
     hooks = config.metric_hooks
     if not (isinstance(hooks, Mapping) and all(isinstance(k, str) and callable(f) for k, f in hooks.items())):
         problems.append(f"metric_hooks must map names to callables, got {hooks!r}")

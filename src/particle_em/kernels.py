@@ -22,8 +22,15 @@ the given ``pair_sq``, if it is a writeable float64 array, and the matrix is
 gathered from it. By default a given ``pair_sq`` is never written, and the
 kernel values go to a fresh (M,) vector; a non-float64 or read-only one is
 always copied. The run's step is the one caller that sets it, on the vector it
-computed for that step. The bandwidth h has one rule everywhere, that of
-:func:`_bandwidth`: a real number, not a bool, finite and > 0.
+computed for that step. :func:`stein_direction` frees the kernel matrix before
+it forms its (N, d) repulsion. The bandwidth h has one rule everywhere, that of
+:func:`_bandwidth`: a real number, not a bool, finite and at least the smallest
+normal float64 (``np.finfo(np.float64).tiny``).
+
+In a run, :func:`pair_sq_dists` gathers its row chunks into the two halves of
+the run's scratch slot 0, once a model has grown it (the logistic model keeps
+its (N, n) logits there); a step of a model that grows no slot gathers them
+into fresh chunks of at most 8192 values.
 """
 
 from __future__ import annotations
@@ -36,54 +43,56 @@ import numpy as np
 
 from .scratch import Scratch
 
-#: float64 values of each row set that :func:`pair_sq_dists` gathers at a time without scratch (64 KB)
+#: float64 values of each row set that :func:`pair_sq_dists` gathers at a time without scratch (64 KB),
+#: and of each block of the logistic model's in-place sigmoid
 _CHUNK = 8192
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=4)
 def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j of n particles in row-major order, and each (i, j)'s slot.
+    """The pairs i < j of n particles in row-major order, and each (i, j)'s pair index.
 
-    Slot 0 is the diagonal and slot p + 1 the p-th pair, for (i, j) and (j, i)
-    alike, so ``table.take(slot)`` turns a [diagonal, M pair values] table into
-    the symmetric (n, n) matrix. The arrays are shared by this module's
-    functions, which never write to them; another module takes copies. They
-    stay writeable, because ``np.take`` copies a read-only index array before
-    every gather.
+    ``index[i, j]`` is p for the p-th pair, for (i, j) and (j, i) alike, and -1
+    on the diagonal, so ``pairs.take(index)`` is the symmetric (n, n) matrix of
+    the M pair values with the last pair's value on the diagonal, which the
+    caller then overwrites. ``index`` is the one (n, n) table: at n = 1000 a
+    size holds 16 MB, and the cache keeps the last four sizes. The arrays are
+    shared by this module's functions, which never write to them; another
+    module takes copies. They stay writeable, because ``np.take`` copies a
+    read-only index array before every gather.
     """
     iu, ju = np.triu_indices(n, 1)
-    slot = np.zeros((n, n), dtype=np.intp)
-    slot[iu, ju] = slot[ju, iu] = np.arange(1, iu.size + 1)
-    return iu, ju, slot
+    index = np.full((n, n), -1, dtype=np.intp)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    return iu, ju, index
 
 
-@functools.lru_cache(maxsize=16)
-def _kernel_index(n: int) -> np.ndarray:
-    """Each (i, j)'s pair p in the condensed vector of n particles, and -1 on the diagonal.
-
-    ``pairs.take(index)`` is the symmetric (n, n) matrix of the M pair values,
-    with the last pair's value on the diagonal. Cached beside
-    :func:`_pair_table`, and like its arrays never written.
-    """
-    return _pair_table(n)[2] - 1
+#: the least bandwidth or gamma the rule takes: a subnormal gamma moves nothing, and a subnormal
+#: bandwidth overflows the kernel's d / h
+_LEAST_POSITIVE = float(np.finfo(np.float64).tiny)
 
 
 def _is_positive_real(value) -> bool:
-    """Whether ``value`` is a real number (a :class:`numbers.Real`, never a bool) that is positive and
-    finite as a float64: the one rule of a bandwidth, here and in ``algorithms.validate_run``, which
-    applies it to gamma too."""
+    """Whether ``value`` is a real number (a :class:`numbers.Real`, never a bool) that is finite and at
+    least the smallest normal float64 as a float64: the one rule of a bandwidth, here and in
+    ``algorithms.validate_run``, which applies it to gamma too."""
     # a float (numpy's float64 included) is a real number: a 30 ns check, where numbers.Real's takes 500
     real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:  # float(), not np.isfinite, which refuses a Python int past int64
-        return real and 0 < float(value) < math.inf
+        return real and _LEAST_POSITIVE <= float(value) < math.inf
     except OverflowError:  # a Python int past the largest float64
         return False
+
+
+def _refusal(name: str, value) -> str:
+    """The one message for a ``name`` that :func:`_is_positive_real` refuses."""
+    return f"{name} must be a finite positive number, got {value!r}; the least allowed is {_LEAST_POSITIVE!r}"
 
 
 def _bandwidth(h) -> float:
     """``h`` as a float, converted once; a ValueError unless :func:`_is_positive_real` holds."""
     if not _is_positive_real(h):
-        raise ValueError(f"bandwidth must be a finite positive number, got {h!r}")
+        raise ValueError(_refusal("bandwidth", h))
     return float(h)
 
 
@@ -111,11 +120,11 @@ def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.n
     The pairs are in row-major order, as in ``scipy.spatial.distance.pdist``.
     Both row sets are gathered a chunk of pairs at a time, and each pair's sum
     of squares is the same per-row ``einsum`` as over a dense (N, N, d)
-    difference tensor, so every value is bit-identical to it. The chunks live
-    in slots 0 and 1 of ``scratch`` when a model has already grown both past
-    8192 values; otherwise they are fresh, of at most 8192 values (two rows,
-    if d is larger than 4096). This never grows ``scratch``, so a run whose
-    model grows no slot holds none between steps.
+    difference tensor, so every value is bit-identical to it. The two chunks
+    live in the two halves of slot 0 of ``scratch`` when a model has already
+    grown it past 2 x 8192 values; otherwise they are fresh, of at most 8192
+    values (two rows, if d is larger than 4096). This never grows ``scratch``,
+    so a run whose model grows no slot holds none between steps.
 
     The kernel layer assumes finite particles (``run`` checks an explicit
     initialization). For finite input the diagonal of :func:`pairwise_sq_dists`
@@ -127,9 +136,9 @@ def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.n
     m, d = iu.size, z.shape[1]
     if m == 1:  # the one pair of two particles, reduced in a taller einsum (see the loop below)
         return pair_sq_dists(z[[0, 1, 0]], scratch)[:1]
-    grown = 0 if scratch is None else min(scratch.size(0), scratch.size(1))
+    grown = 0 if scratch is None else scratch.size(0) // 2
     rows = max(2, max(_CHUNK, grown) // d)
-    left, right = (scratch.take(0, rows * d), scratch.take(1, rows * d)) if rows * d <= grown else (None, None)
+    halves = scratch.take(0, 2 * grown) if rows * d <= grown else None
     out = np.empty(m)
     for start in range(0, m, rows):
         # a one-row einsum of more than 8192 values (numpy's buffer size) sums them in another
@@ -138,8 +147,9 @@ def pair_sq_dists(particles: np.ndarray, scratch: Scratch | None = None) -> np.n
         i, j = iu[start:start + rows], ju[start:start + rows]
         size = i.size * d
         # the indices are in range, so mode="clip" changes nothing; "raise" would buffer ``out``
-        diff = np.take(z, i, 0, out=None if left is None else left[:size].reshape(-1, d), mode="clip")
-        other = np.take(z, j, 0, out=None if left is None else right[:size].reshape(-1, d), mode="clip")
+        diff = np.take(z, i, 0, out=None if halves is None else halves[:size].reshape(-1, d), mode="clip")
+        other = np.take(z, j, 0, out=None if halves is None else halves[grown:grown + size].reshape(-1, d),
+                        mode="clip")
         np.subtract(diff, other, out=diff)
         np.einsum("mk,mk->m", diff, diff, out=out[start:start + rows])
     return out
@@ -152,7 +162,12 @@ def pairwise_sq_dists(particles: np.ndarray) -> np.ndarray:
     exactly zero diagonal.
     """
     pair_sq = pair_sq_dists(particles)
-    return np.concatenate(([0.0], pair_sq)).take(_pair_table(np.shape(particles)[0])[2])
+    n = np.shape(particles)[0]
+    if n == 1:
+        return np.zeros((1, 1))
+    square = pair_sq.take(_pair_table(n)[2])
+    square.ravel()[::n + 1] = 0.0
+    return square
 
 
 def median_heuristic(particles: np.ndarray, *, pair_sq: np.ndarray | None = None) -> float:
@@ -207,8 +222,10 @@ def rbf_matrix(particles: np.ndarray, h: float, *, pair_sq: np.ndarray | None = 
         pairs = given
     else:
         pairs = np.empty(given.size)
-    np.exp(np.divide(given, -h, out=pairs), out=pairs)
-    k = pairs.take(_kernel_index(n))
+    with np.errstate(over="ignore"):  # d / h past the largest float64 is -inf, and exp(-inf) = 0 the exact limit
+        np.divide(given, -h, out=pairs)
+    np.exp(pairs, out=pairs)
+    k = pairs.take(_pair_table(n)[2])
     k.ravel()[::n + 1] = 1.0  # the diagonal, through a view of the fresh matrix (np.fill_diagonal is 4x slower)
     return k
 
@@ -227,7 +244,10 @@ def stein_direction(
     repulsion alike. The kernel comes from :func:`rbf_matrix` under the same
     ``overwrite_pair_sq`` contract, so the call holds one (M,) vector of kernel
     values and the (N, N) matrix at once; with ``overwrite_pair_sq=True`` that
-    vector is the given ``pair_sq``, if it is a writeable float64 array.
+    vector is the given ``pair_sq``, if it is a writeable float64 array. The
+    kernel matrix is freed before the (N, d) repulsion is formed, and the
+    repulsion and the result are built in place: the call holds two (N, d)
+    arrays of its own beside the matrix, and three after it is freed.
     """
     z, pair_sq = _checked(particles, pair_sq)
     g = np.asarray(grads, dtype=np.float64)
@@ -235,9 +255,13 @@ def stein_direction(
         raise ValueError(f"grads shape {g.shape} does not match particles shape {z.shape}")
     h = _bandwidth(h)
     k = rbf_matrix(z, h, pair_sq=pair_sq, overwrite_pair_sq=overwrite_pair_sq)
-    n = z.shape[0]
     # K is symmetric; K.T keeps the sum-over-first-argument convention explicit.
     attraction = k.T @ g
     col_sums = k.sum(axis=0)
-    repulsion = (2.0 / h) * (z * col_sums[:, None] - k.T @ z)
-    return (attraction + repulsion) / n
+    pulled = k.T @ z
+    del k  # the (N, N) kernel is freed before the (N, d) repulsion is formed
+    repulsion = np.multiply(z, col_sums[:, None])
+    np.subtract(repulsion, pulled, out=repulsion)
+    np.multiply(2.0 / h, repulsion, out=repulsion)
+    np.add(attraction, repulsion, out=attraction)
+    return np.divide(attraction, z.shape[0], out=attraction)

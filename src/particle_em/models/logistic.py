@@ -5,6 +5,12 @@ the prior variance v defaults to 5. Labels are Bernoulli with success
 probability sigmoid(x_i^T z). The sigmoid takes exp only of -|x_i^T z| and
 softplus goes through log-sum-exp, so neither overflows and gradients stay
 finite for |x_i^T z| up to at least 1e3.
+
+``grad_z`` and ``predict_proba`` take the sigmoid of their logits in place,
+8192 values at a time (:func:`_sigmoid_in_place`): besides the logits, which
+``grad_z`` keeps in slot 0 of the run's scratch, they hold one 64 KB block of
+exp values, in slot 1. The gemms stay whole: a product taken a block of rows
+at a time rounds differently from the whole one.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ConfigError
-from ..kernels import _checked
+from ..kernels import _CHUNK, _checked
 from ..scratch import Scratch
 from .base import LOG_2PI, Model, as_flat
 
@@ -32,6 +38,29 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     e += 1.0
     p /= e
     return p if p.ndim else p[()]
+
+
+def _sigmoid_in_place(u: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """Overwrite the flat float64 vector u with sigmoid(u), 8192 values at a time; returns u.
+
+    e = exp(-|u|) goes to slot 1 of ``scratch``, one block at a time. The select
+    ``max(copysign(1, u), e) / (1 + e)`` equals :func:`sigmoid`'s ``where`` bit for
+    bit: 1 / (1 + e) where u >= 0, as e <= 1 (and e = 1 at u = -0), and
+    e / (1 + e) where u < 0, as e >= 0; where u is nan, e is the nan that
+    ``maximum`` returns. Every step is a float64 ufunc in place, so none
+    allocates a mask or a casting buffer, and none branches on the sign of u.
+    """
+    exps = scratch.take(1, min(u.size, _CHUNK))
+    for start in range(0, u.size, _CHUNK):
+        block = u[start:start + _CHUNK]
+        e = np.abs(block, out=exps[:block.size])
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.copysign(1.0, block, out=block)
+        np.maximum(block, e, out=block)
+        e += 1.0
+        block /= e
+    return u
 
 
 def softplus(u: np.ndarray) -> np.ndarray:
@@ -74,10 +103,9 @@ class BayesianLogisticRegression(Model):
     def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
         """``prior + (y - sigmoid(z @ X.T)) @ X``, with the (N, n) residuals built in ``scratch``.
 
-        Slot 0 holds the logits u and then, in place, the residuals; slot 1 holds
-        e = exp(-|u|) and slot 2 the mask u >= 0, for half of the rows at a time. The
-        sigmoid's select is ``e * (u < 0) + (u >= 0)``, which equals :func:`sigmoid`'s
-        ``where`` bit for bit. Without ``scratch`` a fresh one is used.
+        Slot 0 holds the logits u and then, in place, the sigmoid and the residuals;
+        :func:`_sigmoid_in_place` takes slot 1 for its blocks of exp values. Without
+        ``scratch`` a fresh one is used.
         """
         t = as_flat(theta, 1, "theta")[0]
         z = _checked(particles, d=self.d_z)[0]
@@ -86,30 +114,22 @@ class BayesianLogisticRegression(Model):
         if n_obs == 0:
             return prior
         scratch = Scratch() if scratch is None else scratch
-        res = np.matmul(z, self.X.T, out=scratch.take(0, n_particles * n_obs).reshape(n_particles, n_obs))
-        half = (n_particles + 1) // 2 or 1
-        exps, masks = scratch.take(1, half * n_obs), scratch.take(2, half * n_obs, bool)
-        for start in range(0, n_particles, half):
-            u = res[start:start + half]
-            e = np.abs(u, out=exps[:u.size].reshape(u.shape))
-            np.negative(e, out=e)
-            np.exp(e, out=e)
-            nonneg = np.greater_equal(u, 0.0, out=masks[:u.size].reshape(u.shape))
-            np.less(u, 0.0, out=u)  # u is now the flag u < 0 as 0.0 or 1.0
-            np.multiply(u, e, out=u)
-            np.add(u, nonneg, out=u)
-            e += 1.0
-            u /= e
+        logits = scratch.take(0, n_particles * n_obs)
+        res = np.matmul(z, self.X.T, out=logits.reshape(n_particles, n_obs))
+        _sigmoid_in_place(logits, scratch)
         np.subtract(self.y, res, out=res)
         return prior + res @ self.X
 
     def predict_proba(self, particles, X_test) -> np.ndarray:
-        """Particle-averaged success probability per test row."""
+        """Particle-averaged success probability per test row, ``sigmoid(X_test @ z.T).mean(axis=1)``
+        bit for bit, with the sigmoid taken in place in the (m, N) logits (a hook gets no scratch)."""
         z = _checked(particles, d=self.d_z)[0]
         X_test = np.asarray(X_test, dtype=np.float64)
         if X_test.ndim != 2 or X_test.shape[1] != self.d_z:
             raise ValueError(f"X_test must be (m, {self.d_z}), got shape {X_test.shape}")
-        return sigmoid(X_test @ z.T).mean(axis=1)
+        logits = X_test @ z.T
+        _sigmoid_in_place(logits.reshape(-1), Scratch())
+        return logits.mean(axis=1)
 
     def predict(self, particles, X_test) -> np.ndarray:
         """Predicted labels: 1 where the averaged probability is >= 0.5."""

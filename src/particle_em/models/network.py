@@ -58,10 +58,10 @@ class LatentSpaceNetworkModel(Model):
         # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
         # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table; the
         # indices are the model's own copies, as the kernel layer's cached tables are shared
-        iu, ju, slot = _pair_table(self.n_nodes)
+        iu, ju, index = _pair_table(self.n_nodes)
         self._iu, self._ju = iu.copy(), ju.copy()
         self._Y_pairs = Y[self._iu, self._ju]
-        self._pair_slot = slot + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
+        self._pair_slot = index + 1 + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
     # One node-position matrix pos (n, e) at a time: its pair geometry, the pair residuals at a
     # theta and the latent gradient from both. The batched methods loop over these, so a particle

@@ -7,6 +7,11 @@ per run and ``step`` passes it down to the kernel layer and to every call of
 the model's ``grad_z``, which may ignore it. A caller owns the slots it takes
 only until it returns. A scratch is never stored on a model (models stay
 immutable and pure) and never shared between runs or threads.
+
+The slots in use: the logistic ``grad_z`` keeps its (N, n) logits in slot 0
+and one block of at most 8192 exp values in slot 1, and
+``kernels.pair_sq_dists`` gathers its two row chunks into the two halves of
+slot 0 once it is grown, before ``grad_z`` writes the logits there.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 
 class Scratch:
-    """Flat float64 or bool vectors, one per slot, grown on demand."""
+    """Flat float64 vectors, one per slot, grown on demand."""
 
     __slots__ = ("_vectors",)
 
@@ -27,9 +32,9 @@ class Scratch:
         vector = self._vectors.get(slot)
         return 0 if vector is None else vector.size
 
-    def take(self, slot: int, size: int, dtype=np.float64) -> np.ndarray:
+    def take(self, slot: int, size: int) -> np.ndarray:
         """The first ``size`` values of slot ``slot``, uninitialised; grows the slot if it is smaller."""
         vector = self._vectors.get(slot)
-        if vector is None or vector.size < size or vector.dtype != dtype:
-            vector = self._vectors[slot] = np.empty(size, dtype)
+        if vector is None or vector.size < size:
+            vector = self._vectors[slot] = np.empty(size)
         return vector[:size]

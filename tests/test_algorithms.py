@@ -218,6 +218,8 @@ class TestAdaptiveCoinEmStep:
             prev = cur
 
 
+#: the end of every gamma and bandwidth refusal: the least value the rule allows, the smallest normal float64
+LEAST = "; the least allowed is 2.2250738585072014e-308"
 #: gradient entries: exact zeros and magnitudes in [1e-2, 1e2] of either sign
 GRADIENT_ENTRIES = st.just(0.0) | st.floats(1e-2, 1e2).flatmap(lambda x: st.sampled_from([x, -x]))
 
@@ -233,6 +235,29 @@ def gradient_streams(draw, entries=GRADIENT_ENTRIES):
 
 
 class TestBettingInvariants:
+    @pytest.mark.parametrize("denominator", ["standard", "bnn"])
+    @given(gradient_streams(entries=GRADIENT_ENTRIES | st.just(np.nan)))
+    def test_adaptive_update_is_its_closed_form_bit_for_bit(self, denominator, case):
+        """The in-place update equals x0 + csum / D * (1 + R / L) in fresh arrays, where L != 0, and x0 where
+        L == 0, bit for bit, through zero and NaN gradients; and it never writes the accumulators it is given."""
+        x0, stream = case
+        x, acc = x0.copy(), Scale(*(np.zeros_like(x0) for _ in Scale._fields))
+        for c in stream:
+            abs_c = np.abs(c)
+            L, G = np.maximum(acc.L, abs_c), acc.G + abs_c
+            R, csum = np.maximum(acc.R + c * (x - x0), 0.0), acc.csum + c
+            D = G + L if denominator == "standard" else np.maximum(G + L, 100.0 * L)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(L == 0, x0, x0 + csum / D * (1 + R / L))
+            given_acc = [a.copy() for a in acc]
+            x_new, new_acc = _adaptive_update(x0, x, c, acc, denominator)
+            assert_bitwise_equal(x_new, want)
+            for got, expected in zip(new_acc, (csum, L, G, R)):
+                assert_bitwise_equal(got, expected)
+            for kept, before in zip(acc, given_acc):
+                assert_bitwise_equal(kept, before)
+            x, acc = x_new, new_acc
+
     @pytest.mark.parametrize("denominator", ["standard", "bnn"])
     @given(gradient_streams())
     def test_adaptive_update_invariants(self, denominator, case):
@@ -577,9 +602,9 @@ class TestRunLoop:
         ("record_every", 1.5, "record_every must be an integer, got 1.5"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("seed", 1.0, "seed must be an integer, got 1.0"),
-        ("bandwidth", "1", "bandwidth must be a finite positive number, got '1'"),
-        ("bandwidth", True, "bandwidth must be a finite positive number, got True"),
-        pytest.param("bandwidth", 10 ** 400, f"bandwidth must be a finite positive number, got {10 ** 400}",
+        ("bandwidth", "1", f"bandwidth must be a finite positive number, got '1'{LEAST}"),
+        ("bandwidth", True, f"bandwidth must be a finite positive number, got True{LEAST}"),
+        pytest.param("bandwidth", 10 ** 400, f"bandwidth must be a finite positive number, got {10 ** 400}{LEAST}",
                      id="bandwidth-int-past-float64"),
         ("freeze_bandwidth", "no", "freeze_bandwidth must be a bool, got 'no'"),
         ("particle_grads_use_new_theta", "False", "particle_grads_use_new_theta must be a bool, got 'False'"),
@@ -597,7 +622,7 @@ class TestRunLoop:
     def test_bad_gamma_is_a_config_error(self, value, shown):
         with pytest.raises(ConfigError) as excinfo:
             run("svgd_em", toy_model(), RunConfig(n_particles=3, n_iters=2, gamma=value))
-        assert excinfo.value.violations == [f"gamma must be a finite positive number, got {shown}"]
+        assert excinfo.value.violations == [f"gamma must be a finite positive number, got {shown}{LEAST}"]
 
     def test_integer_gamma_past_int64_accepted(self):
         assert validate_run("svgd_em", RunConfig(gamma=2 ** 70)) == []

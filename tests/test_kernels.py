@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,8 +121,9 @@ class TestPairSqDists:
 
     @staticmethod
     def grown(values):
+        """A scratch whose slot 0 has two halves of ``values`` values each, the chunk buffers."""
         scratch = Scratch()
-        scratch.take(0, values), scratch.take(1, values)
+        scratch.take(0, 2 * values)
         return scratch
 
     @pytest.mark.parametrize("n,d,values", [
@@ -138,7 +140,7 @@ class TestPairSqDists:
         want = pairwise_sq_dists_naive(z)[np.triu_indices(n, 1)]
         scratch = self.grown(values)
         assert_bitwise_equal(pair_sq_dists(z, scratch), want)
-        assert scratch.size(0) == scratch.size(1) == values  # used, never grown
+        assert scratch.size(0) == 2 * values and scratch.size(1) == 0  # used, never grown
 
     @pytest.mark.parametrize("n,d", [(2, 1), (7, 3), (100, 30), (40, 9000)])
     def test_order_matches_scipy_pdist(self, n, d):
@@ -330,10 +332,13 @@ class TestSteinDirection:
         assert_bitwise_equal(stein_direction(z, g, h), g)
 
 
-#: bandwidths outside the one rule: bools, a string, zero, negatives, nan, infinities and an int past float64
-BAD_BANDWIDTHS = [True, False, "1.5", 0, 0.0, -1.0, np.nan, np.inf, -np.inf, np.float32(0.0), 10 ** 400]
-#: bandwidths inside it: Python, numpy and fractional reals, down to the smallest subnormal
-GOOD_BANDWIDTHS = [1, 0.7, np.int64(2), np.float32(0.7), Fraction(1, 3), 5e-324, 1e308]
+#: the smallest normal float64, the least bandwidth the rule takes
+TINY = float(np.finfo(np.float64).tiny)
+#: bandwidths outside the one rule: bools, a string, zero, negatives, nan, infinities, an int past float64
+#: and the smallest subnormal
+BAD_BANDWIDTHS = [True, False, "1.5", 0, 0.0, -1.0, np.nan, np.inf, -np.inf, np.float32(0.0), 10 ** 400, 5e-324]
+#: bandwidths inside it: Python, numpy and fractional reals, down to the smallest normal float64
+GOOD_BANDWIDTHS = [1, 0.7, np.int64(2), np.float32(0.7), Fraction(1, 3), TINY, 1e308]
 
 
 class TestBandwidthRule:
@@ -358,6 +363,19 @@ class TestBandwidthRule:
             assert problems == [str(err)] and any(h is bad for bad in BAD_BANDWIDTHS)
         else:
             assert problems == [] and any(h is good for good in GOOD_BANDWIDTHS)
+
+    def test_the_refusal_names_the_least_bandwidth(self):
+        with pytest.raises(ValueError, match=re.escape(f"got 5e-324; the least allowed is {TINY!r}")):
+            rbf_matrix(self.z, 5e-324)
+
+    def test_the_least_bandwidth_gives_finite_values_without_a_warning(self):
+        # every d / h past the largest float64 is -inf, whose exp is the exact limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = rbf_matrix(self.z, TINY)
+            phi = stein_direction(self.z, np.ones((3, 1)), TINY)
+        assert_bitwise_equal(k, np.eye(3))
+        assert np.all(np.isfinite(phi))
 
     def test_a_float32_bandwidth_serves_kernel_and_repulsion_as_one_float(self):
         rng = np.random.default_rng(12)
@@ -477,11 +495,11 @@ def test_runs_leave_the_shared_pair_tables_intact():
     assert not any(np.shares_memory(own, shared) for own in (network._iu, network._ju)
                    for shared in kernels._pair_table(7))
     for n in (9, 7, 6):
-        iu, ju, slot = kernels._pair_table(n)
+        iu, ju, index = kernels._pair_table(n)
         fresh_iu, fresh_ju = np.triu_indices(n, 1)
-        fresh_slot = np.zeros((n, n), dtype=np.intp)
-        fresh_slot[fresh_iu, fresh_ju] = fresh_slot[fresh_ju, fresh_iu] = np.arange(1, fresh_iu.size + 1)
-        for cached, fresh in ((iu, fresh_iu), (ju, fresh_ju), (slot, fresh_slot)):
+        fresh_index = np.full((n, n), -1, dtype=np.intp)
+        fresh_index[fresh_iu, fresh_ju] = fresh_index[fresh_ju, fresh_iu] = np.arange(fresh_iu.size)
+        for cached, fresh in ((iu, fresh_iu), (ju, fresh_ju), (index, fresh_index)):
             assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
 
 
@@ -522,7 +540,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / config.n_i
 
 
 #: put before a fault script's measured run for a diagnostic rerun: it counts the minor faults after each
-#: step of that run and prints glibc's heap statistics (``mallinfo2``) before and after it
+#: step of that run, reads glibc's ``keepcost`` (the free bytes at the heap top) after each step, and prints
+#: glibc's heap statistics (``mallinfo2``) before and after the run
 FAULT_DIAGNOSIS = """
 import ctypes
 from particle_em import algorithms
@@ -533,21 +552,25 @@ class Mallinfo2(ctypes.Structure):
                                                      "fsmblks", "uordblks", "fordblks", "keepcost")]
 
 
+mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+if mallinfo2 is not None:
+    mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+
+
 def heap():
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
     if mallinfo2 is None:
         return "no mallinfo2 in this C library"
-    mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
     info = mallinfo2()
     return {name: getattr(info, name) for name, _ in Mallinfo2._fields_}
 
 
-step, step_faults = algorithms.step, []
+step, step_faults, step_keepcost = algorithms.step, [], []
 
 
 def counted_step(*args, **kwargs):
     state = step(*args, **kwargs)
     step_faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    step_keepcost.append(None if mallinfo2 is None else mallinfo2().keepcost)
     return state
 
 
@@ -557,6 +580,7 @@ print("heap before the measured run:", heap())
 FAULT_DIAGNOSIS_END = """
 print("heap after the measured run:", heap())
 print("minor faults of each step, the first with the run's set-up:", np.diff([before] + step_faults).tolist())
+print("keepcost after each step:", step_keepcost)
 print("minor faults after the last step:", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - step_faults[-1])
 """
 
@@ -645,10 +669,15 @@ def test_toy_kernel_steps_reuse_their_pages():
 
 def test_fault_diagnosis_reports_each_step_and_the_heap():
     """The diagnostic rerun a failing fault guard prints: the guard's own reading, the heap statistics
-    around the measured run, one fault count for each of its 200 steps and the count after the last step."""
-    before, reading, after, faults, rest = _run_fault_script(_diagnostic(PGD_FAULT_GUARD)).splitlines()
+    around the measured run, one fault count and one ``keepcost`` for each of its 200 steps, and the
+    count after the last step."""
+    before, reading, after, faults, keepcost, rest = _run_fault_script(_diagnostic(PGD_FAULT_GUARD)).splitlines()
     assert before.startswith("heap before the measured run: ") and after.startswith("heap after the measured run: ")
     assert "'keepcost'" in after or "no mallinfo2" in after
     assert float(reading) >= 0.0
     assert len(json.loads(faults.removeprefix("minor faults of each step, the first with the run's set-up: "))) == 200
+    keepcost = json.loads(keepcost.removeprefix("keepcost after each step: ").replace("None", "null"))
+    assert len(keepcost) == 200
+    assert all(value is None for value in keepcost) if "no mallinfo2" in after else all(
+        isinstance(value, int) and value >= 0 for value in keepcost)
     assert int(rest.removeprefix("minor faults after the last step: ")) >= 0

@@ -19,6 +19,9 @@ from particle_em.models import (
     LatentSpaceNetworkModel,
     sigmoid,
 )
+from particle_em import algorithms
+from particle_em.algorithms import ALGORITHMS, State
+from particle_em.models import logistic
 from particle_em.models.base import particle_mean
 from particle_em.scratch import Scratch
 from helpers import (
@@ -207,9 +210,63 @@ class TestLogisticRegression:
     def test_predict_single_particle_is_plain_logistic(self, logreg):
         rng = np.random.default_rng(15)
         z = rng.standard_normal((1, 3))
-        np.testing.assert_allclose(
-            logreg.predict_proba(z, logreg.X), sigmoid(logreg.X @ z[0]), rtol=1e-15
-        )
+        assert_bitwise_equal(logreg.predict_proba(z, logreg.X), sigmoid(logreg.X @ z.T)[:, 0])
+
+    #: (test rows m, particles N): m * N below, at and past one 8192-value block, and rows past it
+    PREDICT_SHAPES = [(1, 1), (15, 3), (81, 101), (64, 128), (82, 100), (8193, 1), (3, 8193)]
+
+    @pytest.mark.parametrize("m,n", PREDICT_SHAPES)
+    def test_predict_proba_is_the_sigmoid_mean_bit_for_bit(self, m, n):
+        """The in-place blocked sigmoid gives sigmoid(X @ Z.T).mean(axis=1) bit for bit, on logits that
+        include +-inf and nan (from test rows holding them) beside random ones."""
+        rng = np.random.default_rng(m * n)
+        X_test = rng.standard_normal((m, 2)) * 10.0
+        X_test[rng.random(m) < 0.2, 1] = 0.0
+        special = rng.random(m) < 0.1
+        X_test[special, 0] = rng.choice([np.inf, -np.inf, np.nan], special.sum())
+        z = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        model = BayesianLogisticRegression(np.zeros((1, 2)), np.zeros(1))
+        with np.errstate(invalid="ignore"):
+            want = sigmoid(X_test @ z.T).mean(axis=1)
+            assert_bitwise_equal(model.predict_proba(z, X_test), want)
+
+    @pytest.mark.parametrize("size", [1, 5, 8191, 8192, 8193, 2 * 8192 + 7])
+    def test_the_in_place_sigmoid_is_sigmoid_bit_for_bit(self, size):
+        u = np.random.default_rng(size).standard_normal(size) * 30.0
+        u[:size:7] = np.resize([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0], u[:size:7].size)
+        want, scratch = sigmoid(u), Scratch()
+        assert_bitwise_equal(logistic._sigmoid_in_place(u, scratch), want)
+        assert_bitwise_equal(u, want)
+        assert scratch.size(1) == min(size, 8192)
+
+    def test_a_warm_adaptive_step_holds_one_block_of_sigmoid_work(self):
+        """Slot 0 holds the (N, n) logits and slot 1 one 8192-value block of exp values; no slot holds a
+        mask (slot 2 once held a half-size one) and slots 1 and 2 hold at most 8192 values each."""
+        rng = np.random.default_rng(455)
+        model = BayesianLogisticRegression(rng.standard_normal((455, 30)), rng.integers(0, 2, 455))
+        state = State.initial("adaptive_coin_em", np.zeros(1), rng.standard_normal((100, 30)))
+        scratch = Scratch()
+        for _ in range(2):
+            state = algorithms.step(state, model, *ALGORITHMS["adaptive_coin_em"], scratch=scratch)
+        assert scratch.size(0) == 100 * 455
+        assert scratch.size(1) <= 8192 and scratch.size(2) <= 8192
+
+    @pytest.mark.parametrize("m,n", [(114, 100), (15, 3), (300, 64)])
+    def test_predict_proba_holds_its_logits_and_one_block(self, m, n):
+        """predict_proba peaks under (m N + 8192) float64 values and 4 KB: its (m, N) logits and one
+        block of exp values. Taking the sigmoid in fresh arrays holds two more (m, N) arrays."""
+        rng = np.random.default_rng(m)
+        model = BayesianLogisticRegression(np.zeros((1, 30)), np.zeros(1))
+        z, X_test = rng.standard_normal((n, 30)), rng.standard_normal((m, 30))
+        model.predict_proba(z, X_test)  # warm
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.predict_proba(z, X_test)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (m * n + 8192) * 8 + 4096, peak
 
     def test_predict_averages_particles(self):
         m = BayesianLogisticRegression(np.empty((0, 1)), np.empty(0, dtype=int))

@@ -124,9 +124,9 @@ def _capture_kernels(arrays: dict) -> None:
             arrays[f"{key}/median_heuristic{given}"] = np.array(h)
             arrays[f"{key}/rbf_matrix{given}"] = kernels.rbf_matrix(z, h, **keyword)
             arrays[f"{key}/stein_direction{given}"] = kernels.stein_direction(z, grads, h, **keyword)
-        if (n, d) == (100, 30):  # seven chunks of rows in a scratch grown by a model
+        if (n, d) == (100, 30):  # seven chunks of rows in the halves of the logistic model's slot 0 at N = 100
             scratch = Scratch()
-            scratch.take(0, 22750), scratch.take(1, 22750)
+            scratch.take(0, 100 * 455)
             arrays[f"{key}/pair_sq_dists/scratch"] = kernels.pair_sq_dists(z, scratch)
 
 
