@@ -238,8 +238,8 @@ class TestBettingInvariants:
     @pytest.mark.parametrize("denominator", ["standard", "bnn"])
     @given(gradient_streams(entries=GRADIENT_ENTRIES | st.just(np.nan)))
     def test_adaptive_update_is_its_closed_form_bit_for_bit(self, denominator, case):
-        """The in-place update equals x0 + csum / D * (1 + R / L) in fresh arrays, where L != 0, and x0 where
-        L == 0, bit for bit, through zero and NaN gradients; and it never writes the accumulators it is given."""
+        """The update equals x0 + csum / D * (1 + R / L) where L != 0, and x0 where L == 0, bit for bit, through
+        zero and NaN gradients, whatever temporaries it reuses; and it never writes the accumulators it is given."""
         x0, stream = case
         x, acc = x0.copy(), Scale(*(np.zeros_like(x0) for _ in Scale._fields))
         for c in stream:
