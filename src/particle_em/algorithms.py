@@ -511,8 +511,8 @@ def run(algorithm: str, model: Model, config: RunConfig) -> Trace:
     options["scratch"] = Scratch()  # one per run; a model never holds it
 
     hooks = config.metric_hooks
-    trace = Trace.allocate(_trace_rows(config.n_iters, config.record_every), state.theta.shape, z0.shape[1], hooks,
-                           z0.copy())
+    # z0 is the run's own array (read from init, or made by default_init), and no step writes to it
+    trace = Trace.allocate(_trace_rows(config.n_iters, config.record_every), state.theta.shape, z0.shape[1], hooks, z0)
     columns = [(name, hook, trace._metrics[name]) for name, hook in hooks.items()]
 
     def record(iteration: int, theta: np.ndarray, particles: np.ndarray) -> None:

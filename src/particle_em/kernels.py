@@ -57,9 +57,10 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the M pair values with the last pair's value on the diagonal, which the
     caller then overwrites. ``index`` is the one (n, n) table: at n = 1000 a
     size holds 16 MB, and the cache keeps the last four sizes. The arrays are
-    shared by this module's functions, which never write to them; another
-    module takes copies. They stay writeable, because ``np.take`` copies a
-    read-only index array before every gather.
+    shared by this module's functions and by the network model, which keeps
+    its graph's ``iu`` and ``ju``; none of them writes to them. They stay
+    writeable, because ``np.take`` copies a read-only index array before every
+    gather.
     """
     iu, ju = np.triu_indices(n, 1)
     index = np.full((n, n), -1, dtype=np.intp)

@@ -8,8 +8,13 @@ isotropic Gaussian prior with variance prior_var_z (set to inf to disable).
 
 The flat latent vector has length d_z = n * embed_dim and reshapes row-major
 to (n, embed_dim). Distances, sigmoids and edge terms are evaluated once per
-unordered node pair (a table of the n(n-1)/2 pairs i < j built at construction),
-with results bit-identical to a dense (n, n) evaluation. The point estimate of
+unordered node pair (the kernel layer's cached table of the n(n-1)/2 pairs
+i < j, which the model only reads), with results bit-identical to a dense
+(n, n) evaluation. One helper, :meth:`LatentSpaceNetworkModel._pairs`, serves
+every method: it gathers a particle's pair differences into the rows of a
+table reused from particle to particle and writes the pair residuals in place
+beside them, with the sigmoid's exp values in slot 1 of a scratch (the one
+``grad_z`` is passed, a fresh one elsewhere). The point estimate of
 ``default_init`` takes both gradients from one pair geometry per iteration.
 """
 
@@ -19,8 +24,9 @@ import numpy as np
 
 from ..exceptions import ConfigError
 from ..kernels import _checked, _pair_table
+from ..scratch import Scratch
 from .base import LOG_2PI, Model, as_flat
-from .logistic import sigmoid, softplus
+from .logistic import _sigmoid_in_place, softplus
 
 #: distances below this are treated as coincident; the distance gradient is 0 there
 _COINCIDENT_TOL = 1e-12
@@ -55,11 +61,10 @@ class LatentSpaceNetworkModel(Model):
         self.prior_var_z = float(prior_var_z)
         self.link_sign = float(link_sign)
         self.d_z = self.n_nodes * self.embed_dim
-        # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's),
-        # their edges, and each ordered (i, j)'s slot in a [0, pairs i<j, pairs j<i] table; the
-        # indices are the model's own copies, as the kernel layer's cached tables are shared
-        iu, ju, index = _pair_table(self.n_nodes)
-        self._iu, self._ju = iu.copy(), ju.copy()
+        # pair table: the M = n(n-1)/2 node pairs i < j in row-major order (the kernel layer's cached
+        # indices, which the model reads and never writes), their edges, and each ordered (i, j)'s slot
+        # in a [0, pairs i<j, pairs j<i] table
+        self._iu, self._ju, index = _pair_table(self.n_nodes)
         self._Y_pairs = Y[self._iu, self._ju]
         self._pair_slot = index + 1 + self._iu.size * np.tri(self.n_nodes, k=-1, dtype=np.intp)
 
@@ -67,35 +72,53 @@ class LatentSpaceNetworkModel(Model):
     # theta and the latent gradient from both. The batched methods loop over these, so a particle
     # never holds more than its own pairs, and default_init shares one geometry between both gradients.
 
-    def _pair_geometry(self, pos: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Differences pos_i - pos_j (M, e), written to ``out`` if given, and distances (M,)
-        over the pairs i < j."""
-        diff = np.subtract(np.take(pos, self._iu, 0), np.take(pos, self._ju, 0), out=out)
-        return diff, np.sqrt(np.einsum("mk,mk->m", diff, diff))
+    def _tables(self, mirror: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """A weight table (R,) and a unit-vector table (R, e), each with a zero row 0.
 
-    def _pair_residuals(self, t: float, dist: np.ndarray) -> np.ndarray:
-        """Y_ij - sigmoid(t + link_sign * dist_ij) over the pairs i < j; their sum is the theta-gradient."""
-        return self._Y_pairs - sigmoid(t + self.link_sign * dist)
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Work buffers of :meth:`_latent_grad`: a weight table (2M + 1,) and a unit-vector table
-        (2M + 1, e), each with a zero row 0; the (n, n, e) unit vectors rebuilt from it; and rows
-        1 .. M of the unit-vector table, where :meth:`_pair_geometry` writes the pair differences."""
-        m = self._iu.size
-        weights, units = np.empty(2 * m + 1), np.empty((2 * m + 1, self.embed_dim))
-        weights[0], units[0] = 0.0, 0.0
-        return weights, units, np.empty((self.n_nodes, self.n_nodes, self.embed_dim)), units[1:m + 1]
-
-    def _latent_grad(self, pos, dist, resid, tables) -> np.ndarray:
-        """Latent gradient (n, e) at positions pos from their pair distances and residuals.
-
-        ``tables`` comes from :meth:`_tables`, with the pair differences of pos in its last one,
-        rows 1 .. M of its unit-vector table; they become the unit vectors, and rows 1 .. 2M of
-        both tables are overwritten.
+        Rows 1 .. M, the pair rows, take the pair residuals and the pair differences. With ``mirror``
+        R = 2M + 1, and rows M + 1 .. 2M take their mirror images in :meth:`_latent_grad`; else R = M + 1.
         """
-        weights, units, unit, upper = tables
+        rows = (2 if mirror else 1) * self._iu.size + 1
+        weights, units = np.empty(rows), np.empty((rows, self.embed_dim))
+        weights[0], units[0] = 0.0, 0.0
+        return weights, units
+
+    def _pairs(self, pos: np.ndarray, tables, t: float | None = None, scratch: Scratch | None = None) -> np.ndarray:
+        """Distances (M,) of the positions pos over the pairs i < j.
+
+        Writes the differences pos_i - pos_j to the pair rows of the unit-vector table of ``tables``
+        (from :meth:`_tables`), and with a theta ``t`` the residuals of :meth:`_residuals` to the
+        pair rows of its weight table, taking slot 1 of ``scratch``.
+        """
+        m = self._iu.size
+        # the "wrap" mode is for speed: with an out array, "raise" buffers it; the indices are in range
+        diff = np.take(pos, self._iu, 0, out=tables[1][1:m + 1], mode="wrap")
+        diff -= np.take(pos, self._ju, 0)
+        dist = np.einsum("mk,mk->m", diff, diff)
+        np.sqrt(dist, out=dist)
+        if t is not None:
+            self._residuals(t, dist, tables, scratch)
+        return dist
+
+    def _residuals(self, t: float, dist: np.ndarray, tables, scratch: Scratch) -> np.ndarray:
+        """Y_ij - sigmoid(t + link_sign * dist_ij) over the pairs i < j, written in place to the pair
+        rows of the weight table; their sum is the theta-gradient. The sigmoid's exp values go to slot 1
+        of ``scratch``."""
+        resid = np.multiply(self.link_sign, dist, out=tables[0][1:dist.size + 1])
+        np.add(t, resid, out=resid)
+        _sigmoid_in_place(resid, scratch)
+        return np.subtract(self._Y_pairs, resid, out=resid)
+
+    def _latent_grad(self, pos, dist, tables, unit) -> np.ndarray:
+        """Latent gradient (n, e) at positions pos from their pair distances, with the pair differences
+        and residuals of :meth:`_pairs` in ``tables``; ``unit`` (n, n, e) takes the dense unit vectors.
+
+        The pair differences become the unit vectors, and rows 1 .. 2M of both tables are overwritten.
+        """
+        weights, units = tables
         m = dist.size
-        np.multiply(resid, self.link_sign, out=weights[1:m + 1])
+        upper = units[1:m + 1]
+        np.multiply(weights[1:m + 1], self.link_sign, out=weights[1:m + 1])
         weights[m + 1:] = weights[1:m + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(upper, dist[:, None], out=upper)
@@ -106,7 +129,6 @@ class LatentSpaceNetworkModel(Model):
         # rebuilding the full (n, n) weights (symmetric) and (n, n, e) unit vectors
         # (antisymmetric) keeps the sum over j in the dense order, bit for bit; where
         # -unit is -0.0 against a dense +0.0, the zero product cannot change the sum
-        # (the "wrap" mode is for speed: with an out array, "raise" buffers it; the slots are in range)
         grad_pos = np.einsum("ij,ijk->ik", weights.take(self._pair_slot),
                              units.take(self._pair_slot, 0, out=unit, mode="wrap"))
         if np.isfinite(self.prior_var_z):
@@ -116,7 +138,7 @@ class LatentSpaceNetworkModel(Model):
     def log_joint(self, theta, z) -> float:
         t = as_flat(theta, 1, "theta")[0]
         pos = as_flat(z, self.d_z, "latent vector").reshape(self.n_nodes, self.embed_dim)
-        eta = t + self.link_sign * self._pair_geometry(pos)[1]
+        eta = t + self.link_sign * self._pairs(pos, self._tables(mirror=False))
         total = float((self._Y_pairs * eta - softplus(eta)).sum())
         if np.isfinite(self.prior_var_z):
             total -= 0.5 * np.sum(pos * pos) / self.prior_var_z
@@ -127,20 +149,24 @@ class LatentSpaceNetworkModel(Model):
         t = as_flat(theta, 1, "theta")[0]
         z = _checked(particles, d=self.d_z)[0]
         out = np.empty((z.shape[0], 1))
+        tables, scratch, m = self._tables(mirror=False), Scratch(), self._iu.size
         for k in range(z.shape[0]):
-            dist = self._pair_geometry(z[k].reshape(self.n_nodes, self.embed_dim))[1]
-            out[k, 0] = self._pair_residuals(t, dist).sum()
+            self._pairs(z[k].reshape(self.n_nodes, self.embed_dim), tables, t, scratch)
+            out[k, 0] = tables[0][1:m + 1].sum()
         return out
 
     def grad_z(self, theta, particles, scratch=None) -> np.ndarray:
+        """Latent gradients, one particle at a time in one set of pair tables; the sigmoid of the
+        pair residuals takes slot 1 of ``scratch`` (a fresh one without it)."""
         t = as_flat(theta, 1, "theta")[0]
         z = _checked(particles, d=self.d_z)[0]
+        scratch = Scratch() if scratch is None else scratch
         out = np.empty_like(z)
-        tables = self._tables()
+        tables, unit = self._tables(), np.empty((self.n_nodes, self.n_nodes, self.embed_dim))
         for k in range(z.shape[0]):
             pos = z[k].reshape(self.n_nodes, self.embed_dim)
-            dist = self._pair_geometry(pos, out=tables[3])[1]
-            out[k] = self._latent_grad(pos, dist, self._pair_residuals(t, dist), tables).ravel()
+            dist = self._pairs(pos, tables, t, scratch)
+            out[k] = self._latent_grad(pos, dist, tables, unit).ravel()
         return out
 
     def default_init(self, n_particles, rng):
@@ -153,11 +179,12 @@ class LatentSpaceNetworkModel(Model):
         residuals at the old theta, the latent step at the new one.
         """
         theta, z = np.zeros(1), rng.standard_normal(self.d_z)
-        tables = self._tables()
+        tables, unit = self._tables(), np.empty((self.n_nodes, self.n_nodes, self.embed_dim))
+        scratch, m = Scratch(), self._iu.size
         for _ in range(_INIT_ITERS):
             pos = z.reshape(self.n_nodes, self.embed_dim)
-            dist = self._pair_geometry(pos, out=tables[3])[1]
-            theta = theta + _INIT_STEP * self._pair_residuals(theta[0], dist).sum()
-            z = z + _INIT_STEP * self._latent_grad(pos, dist, self._pair_residuals(theta[0], dist),
-                                                   tables).ravel()
+            dist = self._pairs(pos, tables, theta[0], scratch)
+            theta = theta + _INIT_STEP * tables[0][1:m + 1].sum()
+            self._residuals(theta[0], dist, tables, scratch)
+            z = z + _INIT_STEP * self._latent_grad(pos, dist, tables, unit).ravel()
         return theta, z + np.sqrt(0.1) * rng.standard_normal((n_particles, self.d_z))

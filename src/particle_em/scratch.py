@@ -11,7 +11,9 @@ immutable and pure) and never shared between runs or threads.
 The slots in use: the logistic ``grad_z`` keeps its (N, n) logits in slot 0
 and one block of at most 8192 exp values in slot 1, and
 ``kernels.pair_sq_dists`` gathers its two row chunks into the two halves of
-slot 0 once it is grown, before ``grad_z`` writes the logits there.
+slot 0 once it is grown, before ``grad_z`` writes the logits there. The
+network ``grad_z`` takes slot 1 for the exp values of one particle's pair
+residuals.
 """
 
 from __future__ import annotations

@@ -680,6 +680,17 @@ class TestRunLoop:
         assert trace.initial_particles.dtype == np.float64 and trace.initial_particles.flags.c_contiguous
         assert theta0.dtype.kind == "i" and z0.dtype.kind == "i"  # the caller's arrays are untouched
 
+    @pytest.mark.parametrize("algorithm", ["adaptive_coin_em", "svgd_em", "pgd"])
+    def test_initial_particles_are_the_runs_own_copy_of_init(self, algorithm):
+        # the trace keeps the array the run read init into, which no step writes, and not the caller's
+        theta0, z0 = np.array([0.5]), np.random.default_rng(3).standard_normal((4, 2))
+        config = RunConfig(n_particles=4, n_iters=3, gamma=0.01 if algorithm != "adaptive_coin_em" else None,
+                           seed=1, init=(theta0, z0))
+        trace = run(algorithm, toy_model(d_z=2), config)
+        assert_bitwise_equal(trace.initial_particles, z0)
+        assert trace.initial_particles.dtype == np.float64 and trace.initial_particles.flags.c_contiguous
+        assert not any(np.shares_memory(trace.initial_particles, given) for given in (theta0, z0))
+
     def test_denominator_array_is_a_config_error(self):
         config = RunConfig(n_particles=3, n_iters=1, adaptive_denominator=np.array(["bnn", "x"]))
         with pytest.raises(ConfigError) as excinfo:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import minimize_scalar
@@ -19,7 +19,7 @@ from particle_em.models import (
     LatentSpaceNetworkModel,
     sigmoid,
 )
-from particle_em import algorithms
+from particle_em import algorithms, kernels
 from particle_em.algorithms import ALGORITHMS, State
 from particle_em.models import logistic
 from particle_em.models.base import particle_mean
@@ -464,6 +464,96 @@ class TestNetworkPairTable:
                 tracemalloc.stop()
 
         assert peak(z) <= 1.5 * peak(z[:1])
+
+    @staticmethod
+    def warm_peak(call):
+        """tracemalloc peak of ``call()`` above the memory held before it, after one warm-up call."""
+        call()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_grad_z_peak_memory_is_bounded(self):
+        """At n = 50, e = 2 and N = 10, with a warm scratch, grad_z peaked at 142.2 KB (numpy 2.4):
+        its pair tables (58.8 KB), the dense (n, n, e) unit vectors (40 KB), its output (8 KB) and one
+        particle's temporaries. The bound is that plus 5%. Residuals in fresh arrays and a second
+        gather temporary, as grad_z once took them, peaked at 157.6 KB."""
+        Y, _ = planted_two_community_network(45, n=50)
+        m = LatentSpaceNetworkModel(Y, embed_dim=2)
+        z, scratch = np.random.default_rng(21).standard_normal((10, m.d_z)), Scratch()
+        peak = self.warm_peak(lambda: m.grad_z(np.array([0.5]), z, scratch=scratch))
+        assert peak <= 1.05 * 142_200, peak
+
+    def test_default_init_peak_memory_is_bounded(self):
+        """At n = 50 and e = 2 (10 particles) default_init peaked at 147.3 KB (numpy 2.4), its pair tables
+        and dense unit vectors included; the bound is that plus 5%."""
+        Y, _ = planted_two_community_network(45, n=50)
+        m = LatentSpaceNetworkModel(Y, embed_dim=2)
+        peak = self.warm_peak(lambda: m.default_init(10, np.random.default_rng(3)))
+        assert peak <= 1.05 * 147_300, peak
+
+
+@st.composite
+def network_clouds(draw):
+    """(model, theta, clouds): a network case of n >= 2 nodes and three clouds of its N particles: one
+    with nodes 0 and n - 1 on one spot in every particle, one with distinct random positions, and one
+    whose particles alternate between the two."""
+    model, theta, z = draw(network_cases())
+    assume(model.n_nodes >= 2)
+    n_particles, e = z.shape[0], model.embed_dim
+    coincident = z.copy()
+    nodes = coincident.reshape(n_particles, model.n_nodes, e)
+    nodes[:, -1] = nodes[:, 0]
+    apart = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 2.0, z.shape)
+    mixed = np.where((np.arange(n_particles) % 2 == 0)[:, None], coincident, apart)
+    return model, theta, (coincident, apart, mixed)
+
+
+class TestNetworkBufferReuse:
+    """The pair tables are reused from particle to particle and the scratch from call to call; no
+    zero row of a coincident pair or residual of an earlier call may leak into a later result."""
+
+    @staticmethod
+    def assert_untouched(model, inputs, copies):
+        for array, copy in zip(inputs, copies):
+            assert_bitwise_equal(array, copy)
+        fresh_iu, fresh_ju = np.triu_indices(model.n_nodes, 1)
+        assert np.array_equal(model._iu, fresh_iu) and np.array_equal(model._ju, fresh_ju)
+        assert np.shares_memory(model._iu, kernels._pair_table(model.n_nodes)[0])
+
+    @given(network_clouds())
+    def test_one_scratch_serves_clouds_with_and_without_coincident_nodes(self, case):
+        model, theta, (coincident, apart, mixed) = case
+        copies = [a.copy() for a in (theta, coincident, apart, mixed)]
+        fresh = {id(c): model.grad_z(theta, c) for c in (coincident, apart, mixed)}
+        for order in ((coincident, apart), (apart, coincident), (mixed, coincident, mixed, apart)):
+            scratch = Scratch()
+            for cloud in order:
+                assert_bitwise_equal(model.grad_z(theta, cloud, scratch=scratch), fresh[id(cloud)])
+        # each particle of the mixed cloud as if alone
+        for k in range(mixed.shape[0]):
+            assert_bitwise_equal(fresh[id(mixed)][k], model.grad_z(theta, mixed[k:k + 1])[0])
+        self.assert_untouched(model, (theta, coincident, apart, mixed), copies)
+
+    @given(network_clouds())
+    def test_methods_in_alternating_order_match_fresh_calls(self, case):
+        model, theta, (coincident, apart, mixed) = case
+        copies = [a.copy() for a in (theta, coincident, apart, mixed)]
+        calls = {
+            "grad_theta": lambda cloud, scratch: model.grad_theta(theta, cloud),
+            "grad_z": lambda cloud, scratch: model.grad_z(theta, cloud, scratch=scratch),
+            "log_joint": lambda cloud, scratch: np.array([model.log_joint(theta, zk) for zk in cloud]),
+        }
+        scratch = Scratch()
+        for cloud in (mixed, apart, coincident):
+            want = {name: call(cloud, None) for name, call in calls.items()}
+            for name in ("grad_theta", "grad_z", "log_joint", "grad_z", "grad_theta", "grad_z"):
+                assert_bitwise_equal(calls[name](cloud, scratch), want[name])
+        self.assert_untouched(model, (theta, coincident, apart, mixed), copies)
 
 
 class _CoincidentStart:

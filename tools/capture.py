@@ -23,7 +23,7 @@ extracted the same way). Each tree runs in its own interpreter with its own
   ``configs/network_edges.txt``, plus the ``bnn`` and old-theta variants of
   ``adaptive_coin_em``; and ``pgd`` and old-theta ``adaptive_coin_em`` on a
   second model of that graph with ``embed_dim=3``, no latent prior and
-  ``link_sign=+1``;
+  ``link_sign=+1``, and on a third with ``embed_dim=1``;
 - logreg: the library's logistic model on seeded 455x30 data at N=100, the
   shape of the benchmark's ``logreg-synth`` fit, under ``svgd_em``,
   ``adaptive_coin_em``, its old-theta variant and ``pgd``;
@@ -232,15 +232,19 @@ def emit(out: Path, tiny: bool) -> None:
         config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=2,
                            record_every=every, **variant)
         _capture_run(arrays, f"network/{key}", algorithm, network, config)
-    # the other branches of the network model's per-position helpers: e = 3, no prior, link +1
+    # the other branches of the network model's per-position helpers: e = 3, no prior, link +1; and
+    # e = 1, where numpy's einsum sums over the nodes in another order than at e >= 2
     models = {"toy": toy, "network": network}
-    network = LatentSpaceNetworkModel(network.Y, embed_dim=3, prior_var_z=np.inf, link_sign=1.0)
-    models["network-e3-inf-plus"] = network
-    for key in ("pgd", "adaptive_coin_em-old_theta"):
-        algorithm, variant = runs[key]
-        config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=3,
-                           record_every=every, **variant)
-        _capture_run(arrays, f"network/e3-inf-plus/{key}", algorithm, network, config)
+    variants = {"e3-inf-plus": (3, np.inf, 1.0, 3), "e1": (1, 1.0, -1.0, 5)}
+    for name, (embed_dim, prior_var_z, link_sign, seed) in variants.items():
+        network = LatentSpaceNetworkModel(models["network"].Y, embed_dim=embed_dim, prior_var_z=prior_var_z,
+                                          link_sign=link_sign)
+        models[f"network-{name}"] = network
+        for key in ("pgd", "adaptive_coin_em-old_theta"):
+            algorithm, variant = runs[key]
+            config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=seed,
+                               record_every=every, **variant)
+            _capture_run(arrays, f"network/{name}/{key}", algorithm, network, config)
 
     iters, every = (10, 5) if tiny else (200, 10)
     rng = np.random.default_rng(455)
