@@ -15,7 +15,9 @@ extracted the same way). Each tree runs in its own interpreter with its own
 - models: each model's cloud methods called directly (``grad_theta``,
   ``grad_z``, ``mean_grad_theta``, the toy ``marginal_mstep`` and the
   logistic ``predict_proba``) on seeded clouds of ``MODEL_SIZES`` particles,
-  for the toy, network and logreg models of the groups below;
+  for the toy, network and logreg models of the groups below, and for the
+  benchmark's planted n = 50 graph (``network-n50``'s first input at seed 0)
+  at ``embed_dim`` 1, 2 and 3;
 - toy: N=100 particles, d=10, all six algorithms; and ``pgd`` recording
   every iteration with the hooks of ``SPECIAL_HOOKS``, which return -0.0,
   inf and nan, so the trace's columns carry special values both ways;
@@ -198,6 +200,13 @@ def _cli_commands(out: Path, tiny: bool) -> dict[str, list[str]]:
     return {label: args + extra + ["--out", str(out / "cli" / label)] for label, args in commands.items()}
 
 
+def _module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def emit(out: Path, tiny: bool) -> None:
     """Run the capture set on the package on ``sys.path``; write ``arrays.npz`` and ``cli/`` to ``out``."""
     from particle_em import cli
@@ -205,9 +214,7 @@ def emit(out: Path, tiny: bool) -> None:
     from particle_em.data import generate_toy_data, load_edgelist
     from particle_em.models import BayesianLogisticRegression, GaussianHierarchicalModel, LatentSpaceNetworkModel
 
-    spec = importlib.util.spec_from_file_location("golden_cases", ROOT / "tests" / "test_golden.py")
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
+    golden = _module("golden_cases", ROOT / "tests" / "test_golden.py")
     arrays: dict[str, np.ndarray] = {}
 
     built = {name: build() for name, (build, _) in golden.MODELS.items()}
@@ -245,6 +252,12 @@ def emit(out: Path, tiny: bool) -> None:
             config = RunConfig(n_particles=10, n_iters=iters, gamma=GAMMA.get(algorithm), seed=seed,
                                record_every=every, **variant)
             _capture_run(arrays, f"network/{name}/{key}", algorithm, network, config)
+    # the benchmark's graph: n = 50, past the 30 nodes of the edge list above
+    workloads = _module("workloads", ROOT / "perfbench" / "workloads.py")
+    with tempfile.TemporaryDirectory() as workdir:
+        graph = load_edgelist(workloads.NetworkN50().make_input(workdir, 0, 0)["path"]).to_adjacency()
+    for embed_dim in (1, 2, 3):
+        models[f"network-n50-e{embed_dim}"] = LatentSpaceNetworkModel(graph, embed_dim=embed_dim)
 
     iters, every = (10, 5) if tiny else (200, 10)
     rng = np.random.default_rng(455)
